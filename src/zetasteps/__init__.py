@@ -58,7 +58,6 @@ from .zeros import (
     zero_count_main,
 )
 from .export import (
-    ExportSpec,
     export_conjugate,
     export_gram,
     export_histogram,
@@ -79,7 +78,6 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "EvalResult",
-    "ExportSpec",
     "GramPoint",
     "PredictedSum",
     "ResourceGuardError",

@@ -124,7 +124,8 @@ def _dispatch(args) -> Tuple[Sequence[str], Iterator[Tuple]]:
         return _eval_rows(args)
     if args.command == "zeros":
         return ex.ZEROS_HEADER, ex.export_zeros(
-            t_hi=args.t_hi, count=args.count, tol=args.tol, workers=args.workers
+            t_hi=args.t_hi, count=args.count, tol=args.tol,
+            workers=args.workers, t_lo=args.t_lo,
         )
     if args.command == "gram":
         return ex.GRAM_HEADER, ex.export_gram(args.t_lo, args.t_hi)

@@ -121,11 +121,12 @@ def dd_log(x: float):
 # ---------------------------------------------------------------------------
 # Vectorized dd log table for integers 1..n, grown on demand.  Blocks use a
 # log1p series around an exactly-known reference value, so the only Decimal
-# work is one ln per block (plus the first 1024 entries).
+# work is one ln per block (plus the first 1024 entries).  The (hi, lo)
+# pair is published as one tuple, so a reader on another thread never sees
+# the arrays of two different growths.
 
 _LOG_TABLE_SEED = 1024
-_log_hi = np.zeros(2)
-_log_lo = np.zeros(2)
+_log = (np.zeros(2), np.zeros(2))
 
 
 def _series_block(ref: int, n_arr: np.ndarray):
@@ -150,15 +151,16 @@ def _series_block(ref: int, n_arr: np.ndarray):
 
 def log_table(nmax: int):
     """dd log(n) arrays indexed by n for 0 <= n <= nmax (index 0 unused)."""
-    global _log_hi, _log_lo
-    if nmax < len(_log_hi) - 1:
-        return _log_hi, _log_lo
-    size = len(_log_hi)
+    global _log
+    old_hi, old_lo = _log
+    size = len(old_hi)
+    if nmax < size - 1:
+        return old_hi, old_lo
     target = nmax + 1
     hi = np.empty(target)
     lo = np.empty(target)
-    hi[:size] = _log_hi
-    lo[:size] = _log_lo
+    hi[:size] = old_hi
+    lo[:size] = old_lo
     hi[0] = lo[0] = 0.0
     start = max(size, 1)
     if start < min(target, _LOG_TABLE_SEED):
@@ -173,8 +175,8 @@ def log_table(nmax: int):
         n_arr = np.arange(start, stop, dtype=float)
         hi[start:stop], lo[start:stop] = _series_block(ref, n_arr)
         start = stop
-    _log_hi, _log_lo = hi, lo
-    return _log_hi, _log_lo
+    _log = (hi, lo)
+    return hi, lo
 
 
 def mod_twopi(ph, pl):

@@ -17,9 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import FrozenSet
 
-import numpy as np
-
-from .ddmath import log_table, phase_from_dd_log
 from .errors import DomainError, ToleranceError
 from .steps import Argument, partial_sum, reduced_phase, step_term
 from .symmetry import (
@@ -27,7 +24,6 @@ from .symmetry import (
     big_q,
     center_point,
     frame_of,
-    rs_theta,
     _theta_mod_unchecked,
 )
 
@@ -62,31 +58,6 @@ _B_OVER_FACT = {
     k: float(_BERNOULLI[2 * k] / math.factorial(2 * k))
     for k in range(1, _BERNOULLI_MAX_K + 1)
 }
-
-
-def _dirichlet_sum(sigma: float, t: float, n_hi: int) -> complex:
-    """sum of n**(-s) for 1 <= n <= n_hi, summed tail-first with exact
-    per-block accumulation (fsum)."""
-    if n_hi < 1:
-        return 0.0 + 0.0j
-    hi, lo = log_table(n_hi)
-    re_parts = []
-    im_parts = []
-    block = 1 << 17
-    for b in range(n_hi, 0, -block):
-        a = max(1, b - block + 1)
-        n_arr = np.arange(a, b + 1, dtype=float)
-        lengths = n_arr ** (-sigma)
-        if t == 0.0:
-            re_parts.append(math.fsum(lengths[::-1]))
-            continue
-        idx = np.arange(a, b + 1)
-        theta = phase_from_dd_log(t, hi[idx], lo[idx])
-        re_parts.append(math.fsum((lengths * np.cos(theta))[::-1]))
-        im_parts.append(math.fsum((lengths * np.sin(theta))[::-1]))
-    re = math.fsum(re_parts)
-    im = math.fsum(im_parts) if im_parts else 0.0
-    return complex(re, im)
 
 
 def _em_tail(s: complex, phi_n: float, n: int, target: float):
@@ -142,7 +113,7 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
         phi_n = reduced_phase(s.t, n)
         tail, err, used = _em_tail(sc, phi_n, n, target_abs_error)
         if err < best_err:
-            head = _dirichlet_sum(s.sigma, s.t, n - 1)
+            head = partial_sum(1, n - 1, s)
             best = head + tail
             best_err = err
             terms = (n - 1) + used
@@ -208,20 +179,10 @@ def rs_remainder(t: float, denominator: str = "np") -> float:
 
 def rs_z(t: float) -> float:
     """Riemann-Siegel Z(t) to first order: sign changes locate
-    critical-line zeros."""
-    frame = frame_of(t)
-    theta_mod = _theta_mod_unchecked(t)
-    hi, lo = log_table(frame.n_p)
-    total = 0.0
-    comp = 0.0
-    for n in range(1, frame.n_p + 1):
-        phase = theta_mod + phase_from_dd_log(t, hi[n], lo[n])
-        term = 2.0 * math.cos(phase) / math.sqrt(n)
-        y = term - comp
-        snew = total + y
-        comp = (snew - total) - y
-        total = snew
-    return total + rs_remainder(t)
+    critical-line zeros.  The remainder takes the (t/2pi)**(-1/4) scale."""
+    head = partial_sum(1, frame_of(t).n_p, Argument(0.5, t))
+    head *= cmath.exp(1j * _theta_mod_unchecked(t))
+    return 2.0 * head.real + rs_remainder(t, denominator="t")
 
 
 def eval_symmetric(s: Argument) -> EvalResult:
@@ -247,10 +208,9 @@ def eval_symmetric(s: Argument) -> EvalResult:
 
 def zeta_on_line(t: float) -> complex:
     """zeta(1/2 + it) from Z(t): rotate Z back off the Theta axis."""
-    theta_mod = _theta_mod_unchecked(t)
     if t < TWOPI:
         raise DomainError(f"zeta_on_line needs t >= 2*pi, got {t}")
-    return rs_z(t) * cmath.exp(-1j * theta_mod)
+    return rs_z(t) * cmath.exp(-1j * _theta_mod_unchecked(t))
 
 
 def z_reference(t: float, target_abs_error: float = 1e-10) -> float:

@@ -9,15 +9,13 @@ files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .ddmath import log_table, phase_from_dd_log
 from .errors import DomainError, ResourceGuardError
 from .evaluators import eval_em_paper, eval_reference
-from .steps import Argument
+from .steps import Argument, phase_blocks
 from .symmetry import (
     TWOPI,
     big_q,
@@ -27,7 +25,14 @@ from .symmetry import (
     conj_sum_predicted,
     frame_of,
 )
-from .zeros import ZeroRecord, find_zeros, gram_offsets, gram_point, histogram
+from .zeros import (
+    ZeroRecord,
+    find_zeros,
+    gram_offsets,
+    gram_point,
+    histogram,
+    zero_count_main,
+)
 
 STEPPLOT_HEADER = ("n", "re_cumulative", "im_cumulative", "delta1_mod", "delta2_mod")
 LIMACON_HEADER = (
@@ -61,22 +66,6 @@ CONJUGATE_HEADER = (
 
 STEPPLOT_ROW_GUARD = 10_000_000
 SURFACE_GRID_GUARD = 1_000_000
-
-
-@dataclass(frozen=True)
-class ExportSpec:
-    """A fully resolved export request (one figure kind plus its grid)."""
-
-    kind: str
-    sigma: float = 0.5
-    t: float = 0.0
-    t_lo: float = 0.0
-    t_hi: float = 0.0
-    samples: int = 0
-    bins: int = 0
-    decimation: int = 1
-    out: Optional[str] = None
-    fmt: str = "csv"
 
 
 def _fmt(v) -> str:
@@ -139,17 +128,12 @@ def export_stepplot(s: Argument, decimation: int = 1) -> Iterator[Tuple]:
             f"stepplot would emit > {STEPPLOT_ROW_GUARD} rows; "
             "increase --decimation"
         )
-    block = 1 << 16
-    hi, lo = log_table(n_max + 2)
     carry_parts_re: List[float] = []
     carry_parts_im: List[float] = []
-    for a in range(1, n_max + 1, block):
-        b = min(n_max, a + block - 1)
-        idx = np.arange(a, b + 3)  # 2 extra for forward differences
-        phases = phase_from_dd_log(s.t, hi[idx], lo[idx])
-        lengths = idx.astype(float) ** (-s.sigma)
-        terms_re = lengths[: b - a + 1] * np.cos(phases[: b - a + 1])
-        terms_im = lengths[: b - a + 1] * np.sin(phases[: b - a + 1])
+    for a, b, phases in phase_blocks(s.t, 1, n_max, lookahead=2):
+        lengths = np.arange(a, b + 1, dtype=float) ** (-s.sigma)
+        terms_re = lengths * np.cos(phases[: b - a + 1])
+        terms_im = lengths * np.sin(phases[: b - a + 1])
         cum_re = np.cumsum(terms_re) + math.fsum(carry_parts_re)
         cum_im = np.cumsum(terms_im) + math.fsum(carry_parts_im)
         d1 = np.mod(phases[1:] - phases[:-1], TWOPI)
@@ -257,9 +241,10 @@ def export_zeros(
     count: Optional[int] = None,
     tol: float = 1e-8,
     workers: int = 1,
+    t_lo: float = 10.0,
 ) -> Iterator[Tuple]:
-    """Located zeros with Gram offsets and oracle residuals."""
-    records = _collect_zeros(t_hi, count, tol, workers)
+    """Located zeros in [t_lo, t_hi] with Gram offsets and oracle residuals."""
+    records = _collect_zeros(t_hi, count, tol, workers, t_lo)
     return _zero_rows(records)
 
 
@@ -268,13 +253,15 @@ def _collect_zeros(
     count: Optional[int],
     tol: float,
     workers: int = 1,
+    t_lo: float = 10.0,
 ) -> List[ZeroRecord]:
     if t_hi is None and count is None:
         raise DomainError("need a t_hi or a zero count")
     if t_hi is None:
         # one zero per Gram interval on average; pad a little
-        t_hi = gram_point(count + max(5, count // 20)).t
-    records = find_zeros(10.0, t_hi, tol=tol, workers=workers)
+        first = int(zero_count_main(max(t_lo, 10.0)))
+        t_hi = gram_point(first + count + max(5, count // 20)).t
+    records = find_zeros(t_lo, t_hi, tol=tol, workers=workers)
     if count is not None:
         records = records[:count]
     return records

@@ -2,8 +2,9 @@
 
 A *step* is the term n**(-s) drawn as a segment of length n**(-sigma) at
 angle -t*log(n).  Everything downstream (symmetry frames, evaluators,
-exports) is built on the three primitives here: reduced phases, single
-steps, and range sums.
+exports) is built on the primitives here: reduced phases, single steps,
+the blocked phase kernel `phase_blocks` (the one reader of the dd log
+table), and range sums.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .ddmath import (
 from .errors import ResourceGuardError
 
 RANGE_GUARD = 1_000_000_000
-_VECTOR_CUTOFF = 64
-_BLOCK = 1 << 17
+_VECTOR_CUTOFF = 16
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,14 +80,28 @@ def step_term(n: int, s: Argument) -> complex:
     return complex(length * math.cos(theta), im)
 
 
-def _phases_block(t: float, n_arr: np.ndarray) -> np.ndarray:
-    hi, lo = log_table(int(n_arr[-1]))
-    idx = n_arr.astype(np.int64)
-    return phase_from_dd_log(t, hi[idx], lo[idx])
+def phase_blocks(t: float, a: int, b: int, lookahead: int = 0):
+    """Reduced phases (-t * log n) mod 2*pi over [a, b], block by block.
+
+    Yields (lo, hi, phases) with phases[i] the phase of n = lo + i for
+    lo <= n <= hi + lookahead; the lookahead entries let a caller take
+    forward differences across the block edge.  The dd log table is sized
+    once, to b + lookahead, before the first block.
+    """
+    if t != 0.0:
+        log_hi, log_lo = log_table(b + lookahead)
+    for lo in range(a, b + 1, _BLOCK):
+        hi = min(b, lo + _BLOCK - 1)
+        stop = hi + 1 + lookahead
+        if t == 0.0:
+            yield lo, hi, np.zeros(stop - lo)
+        else:
+            yield lo, hi, phase_from_dd_log(t, log_hi[lo:stop], log_lo[lo:stop])
 
 
 def partial_sum(a: int, b: int, s: Argument) -> complex:
-    """Compensated sum of step_term(n, s) for a <= n <= b."""
+    """Sum of step_term(n, s) for a <= n <= b, by math.fsum within each
+    kernel block and again over the block sums."""
     if a < 1 or b < a:
         raise ValueError(f"need 1 <= a <= b, got ({a}, {b})")
     if b - a > RANGE_GUARD:
@@ -94,41 +109,18 @@ def partial_sum(a: int, b: int, s: Argument) -> complex:
             f"range of {b - a + 1} steps exceeds the guard of {RANGE_GUARD}"
         )
     if b - a < _VECTOR_CUTOFF:
-        re = im = 0.0
-        cre = cim = 0.0  # Neumaier carries
-        for n in range(a, b + 1):
-            z = step_term(n, s)
-            re, e = _fast_two_sum_any(re, z.real)
-            cre += e
-            im, e = _fast_two_sum_any(im, z.imag)
-            cim += e
-        return complex(re + cre, im + cim)
+        terms = [step_term(n, s) for n in range(a, b + 1)]
+        return complex(
+            math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms)
+        )
     re_parts = []
     im_parts = []
-    tau = abs(s.t)
-    flip = s.t < 0.0
-    for lo_n in range(a, b + 1, _BLOCK):
-        hi_n = min(b, lo_n + _BLOCK - 1)
-        n_arr = np.arange(lo_n, hi_n + 1, dtype=float)
-        lengths = n_arr ** (-s.sigma)
-        if tau == 0.0:
-            re_parts.append(math.fsum(lengths))
-            continue
-        theta = _phases_block(tau, n_arr)
+    for lo, hi, theta in phase_blocks(abs(s.t), a, b):
+        lengths = np.arange(lo, hi + 1, dtype=float) ** (-s.sigma)
         re_parts.append(math.fsum(lengths * np.cos(theta)))
         im_parts.append(math.fsum(lengths * np.sin(theta)))
-    re = math.fsum(re_parts)
-    im = math.fsum(im_parts) if im_parts else 0.0
-    return complex(re, -im if flip else im)
-
-
-def _fast_two_sum_any(a: float, b: float):
-    s = a + b
-    if abs(a) >= abs(b):
-        e = b - (s - a)
-    else:
-        e = a - (s - b)
-    return s, e
+    im = math.fsum(im_parts)
+    return complex(math.fsum(re_parts), -im if s.t < 0.0 else im)
 
 
 def angle_diffs(n: int, t: float):

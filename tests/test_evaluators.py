@@ -150,15 +150,12 @@ class TestZ:
             assert abs(abs(rs_z(t)) - ref) < 0.05
 
     def test_z_reference_matches_rs_z(self):
-        # the printed remainder denominator carries an O(p/n_p) error that
-        # decays with t; the conventional variant is tight much earlier
+        # rs_z takes the conventional (t/2pi)**(-1/4) remainder scale, which
+        # is tight much earlier than the printed n_p**(-1/2) one
         for t, tol in ((100.0, 0.1), (1000.0, 0.005), (4000.0, 5e-4)):
             assert abs(z_reference(t) - rs_z(t)) < tol
         for t in (500.0, 1000.0, 4000.0):
-            variant = (
-                rs_z(t) - rs_remainder(t) + rs_remainder(t, denominator="t")
-            )
-            assert abs(z_reference(t) - variant) < 5e-4
+            assert abs(z_reference(t) - rs_z(t)) < 5e-4
 
 
 class TestSymmetric:
@@ -198,12 +195,12 @@ class TestOnLine:
             assert abs(rotated.imag) < 1e-8
 
     def test_first_zero(self):
-        # at t ~ 14 only one term survives and the first-order remainder is
-        # at its worst (measured 0.068); the zero still shows as a sign change
+        # at t ~ 14 only one term survives; true Z is -0.106 at 14.0 and
+        # -0.027 at 14.1 (mpmath), so the sign change must fall in [14.1, 14.2]
         assert abs(zeta_on_line(14.134725)) < 0.1
         from zetasteps import rs_z
 
-        assert rs_z(14.0) * rs_z(14.1) < 0.0
+        assert rs_z(14.1) * rs_z(14.2) < 0.0
 
 
 class TestCrossAlgorithm:

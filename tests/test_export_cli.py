@@ -4,11 +4,13 @@ determinism, exit codes."""
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import zetasteps
 from zetasteps import (
     Argument,
     DomainError,
@@ -33,6 +35,12 @@ from zetasteps.export import (
 )
 
 TWOPI = 2.0 * math.pi
+# child interpreters import the same zetasteps as this process, installed or not
+SRC_DIR = os.path.dirname(os.path.dirname(zetasteps.__file__))
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC_DIR, os.environ.get("PYTHONPATH")))),
+}
 
 
 def render(header, rows, fmt="csv"):
@@ -71,6 +79,14 @@ class TestStepplot:
         assert len(rows) == n_max == 20000
         final = complex(rows[-1][1], rows[-1][2])
         assert abs(final - partial_sum(1, n_max, s)) < 1e-12
+
+    def test_block_edge_rows_equal_partial_sum(self):
+        # n_max = 65537: the first kernel block ends at 65536
+        s = Argument(0.5, math.pi * 65537.5)
+        rows = {r[0]: r for r in export_stepplot(s, 65535)}
+        for n in (65536, 65537):
+            got = complex(rows[n][1], rows[n][2])
+            assert abs(got - partial_sum(1, n, s)) < 1e-12
 
     def test_pendant_window_survives_decimation(self):
         t = TWOPI * 1e4
@@ -153,6 +169,11 @@ class TestLoopsZerosHistogram:
         for r in rows:
             assert r[4] < 1e-5  # oracle residual column
 
+    def test_count_starts_at_t_lo(self):
+        rows = list(export_zeros(count=2, t_lo=100.0))
+        assert [r[0] for r in rows] == [30, 31]
+        assert abs(rows[0][1] - 101.317851) < 1e-6
+
     def test_histogram_single_bin(self):
         rows = list(export_histogram(count=12, bins=1))
         assert len(rows) == 1
@@ -177,6 +198,18 @@ class TestCli:
     def test_guard_exit_three(self, capsys):
         assert self.run("stepplot", "--t", "100000000", "--decimation", "1") == 3
 
+    def test_rs_line_below_domain_exit_two(self, capsys):
+        for t in ("-5", "0"):
+            assert self.run("eval", "--algorithm", "rs_line", "--t", t) == 2
+            assert "domain error" in capsys.readouterr().err
+
+    def test_zeros_honours_t_lo(self, capsys):
+        assert self.run("zeros", "--t-lo", "100", "--t-hi", "110",
+                        "--workers", "1") == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [30, 31, 32, 33]
+        assert abs(float(rows[0][1]) - 101.317851) < 1e-6
+
     def test_zeros_csv_to_file(self, tmp_path, capsys):
         out = tmp_path / "z.csv"
         assert self.run("zeros", "--t-lo", "10", "--t-hi", "30",
@@ -191,6 +224,27 @@ class TestCli:
             assert self.run("zeros", "--t-lo", "10", "--t-hi", "60",
                             "--workers", workers, "--out", str(path)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_worker_pool_race_free(self, tmp_path):
+        # a 1 us switch interval makes threads interleave inside the shared
+        # log table's growth; every run must finish with the same bytes
+        code = ("import sys; sys.setswitchinterval(1e-6); "
+                "from zetasteps.cli import main; sys.exit(main(sys.argv[1:]))")
+        outs = [tmp_path / f"h{k}.csv" for k in range(3)]
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code, "histogram", "--count", "60",
+                 "--workers", "2", "--out", str(out)],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                env=CHILD_ENV,
+            )
+            for out in outs
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        first = outs[0].read_bytes()
+        assert all(out.read_bytes() == first for out in outs[1:])
 
     def test_gram_listing(self, capsys):
         assert self.run("gram", "--t-lo", "10", "--t-hi", "30") == 0
@@ -218,7 +272,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-c",
              "from zetasteps.cli import main; raise SystemExit(main(['gram','--t-lo','10','--t-hi','25']))"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "index,t"

@@ -107,6 +107,21 @@ class TestPartialSum:
         )
         assert abs(partial_sum(1, 3000, s) - want) < 1e-11
 
+    @pytest.mark.parametrize("n", [15, 16, 17])
+    def test_scalar_vector_cutoff_matches_oracle(self, n):
+        s = Argument(0.5, 1420.3)
+        want = complex(
+            mpmath.fsum(k ** (-mpmath.mpc(0.5, 1420.3)) for k in range(1, n + 1))
+        )
+        assert abs(partial_sum(1, n, s) - want) < 1e-13
+
+    @pytest.mark.parametrize("n", [65535, 65536, 65537])
+    def test_block_edge_matches_oracle(self, n):
+        # sum_{k <= n} k^-s = zeta(s) - zeta(s, n + 1) (Hurwitz)
+        sm = mpmath.mpc(0.5, 12345.678)
+        want = complex(mpmath.zeta(sm) - mpmath.zeta(sm, n + 1))
+        assert abs(partial_sum(1, n, Argument(0.5, 12345.678)) - want) < 1e-11
+
     def test_resource_guard(self):
         with pytest.raises(ResourceGuardError):
             partial_sum(1, 2_000_000_000, Argument(0.5, 10.0))

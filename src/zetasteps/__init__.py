@@ -15,7 +15,6 @@ from .errors import (
 )
 from .steps import (
     Argument,
-    StepRecord,
     angle_diffs,
     partial_sum,
     reduced_phase,
@@ -81,7 +80,6 @@ __all__ = [
     "GramPoint",
     "PredictedSum",
     "ResourceGuardError",
-    "StepRecord",
     "SymmetryFrame",
     "ToleranceError",
     "ZeroRecord",

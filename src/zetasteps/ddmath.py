@@ -9,6 +9,9 @@ for t <= 1e8.
 The primitives are branch-free and polymorphic: they accept Python floats
 or numpy arrays alike (Dekker splitting instead of fma, which CPython 3.10
 does not expose).
+
+Decimal arithmetic lives here only: it rounds the dd constants, the cached
+integer logs, the first log-table entries and non-integer `dd_log`.
 """
 
 from __future__ import annotations
@@ -23,16 +26,6 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp split constant
 
 _DD_PREC = 44
 PI_STR = "3.1415926535897932384626433832795028841971693993751"
-
-
-def _pi_dec() -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = _DD_PREC
-        return +Decimal(PI_STR)
-
-
-PI_DEC = _pi_dec()
-TWOPI_DEC = 2 * PI_DEC
 TWOPI = 2.0 * math.pi
 
 
@@ -95,7 +88,14 @@ def dd_from_decimal(d: Decimal):
     return hi, lo
 
 
-TWOPI_HI, TWOPI_LO = dd_from_decimal(TWOPI_DEC)
+# dd constants of the mod-2*pi reduction and of theta_RS, rounded from
+# 44-digit Decimals (the default 28-digit context would spoil the lo words).
+with localcontext() as _ctx:
+    _ctx.prec = _DD_PREC
+    _twopi_dec = 2 * Decimal(PI_STR)
+    TWOPI_HI, TWOPI_LO = dd_from_decimal(_twopi_dec)
+    LOG_TWOPI_E_HI, LOG_TWOPI_E_LO = dd_from_decimal(_twopi_dec.ln() + 1)
+    PI8_HI, PI8_LO = dd_from_decimal(_twopi_dec / 16)
 
 
 @lru_cache(maxsize=200_000)

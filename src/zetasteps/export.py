@@ -27,6 +27,7 @@ from .symmetry import (
 )
 from .zeros import (
     ZeroRecord,
+    _gram_index_below,
     find_zeros,
     gram_offsets,
     gram_point,
@@ -158,17 +159,12 @@ def _symmetric_parts(sigma: float, t: float):
     return p_s, qp
 
 
-def _gram_indices_between(t_lo: float, t_hi: float) -> List[int]:
-    out = []
-    if t_hi < gram_point(0).t:
-        return out
-    n = 0
-    while gram_point(n).t < t_lo:
+def _gram_indices_between(t_lo: float, t_hi: float) -> range:
+    """Indices n with t_lo <= g_n <= t_hi."""
+    n = _gram_index_below(t_lo)
+    if n < 0 or gram_point(n).t < t_lo:
         n += 1
-    while gram_point(n).t <= t_hi:
-        out.append(n)
-        n += 1
-    return out
+    return range(n, _gram_index_below(t_hi) + 1)
 
 
 def export_limacon(
@@ -257,6 +253,8 @@ def _collect_zeros(
 ) -> List[ZeroRecord]:
     if t_hi is None and count is None:
         raise DomainError("need a t_hi or a zero count")
+    if count is not None and count < 1:
+        raise DomainError(f"zero count must be >= 1, got {count}")
     if t_hi is None:
         # one zero per Gram interval on average; pad a little
         first = int(zero_count_main(max(t_lo, 10.0)))

@@ -48,14 +48,6 @@ class Argument:
         return complex(self.sigma, self.t)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    n: int
-    length: float
-    angle: float
-    cumulative: complex
-
-
 def reduced_phase(t: float, x: float) -> float:
     """(-t * log(x)) mod 2*pi, in [0, 2*pi).
 

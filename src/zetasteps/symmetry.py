@@ -11,11 +11,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
-from functools import lru_cache
 from typing import NamedTuple
 
-from .ddmath import PI_DEC, TWOPI_DEC, TWOPI
+from .ddmath import (
+    LOG_TWOPI_E_HI,
+    LOG_TWOPI_E_LO,
+    PI8_HI,
+    PI8_LO,
+    TWOPI,
+    dd_add,
+    dd_div,
+    dd_log,
+    dd_mul_double,
+    mod_twopi,
+)
 from .errors import DomainError
 from .steps import Argument, partial_sum, reduced_phase
 
@@ -23,7 +32,6 @@ DEGENERATE_COS_EPS = 1e-3
 _SNAP = 32 * 2.220446049250313e-16  # integer-sqrt snap, ~32 ulp relative
 
 THETA_T_MIN = 10.0
-_THETA_PREC = 44
 
 
 @dataclass(frozen=True)
@@ -33,8 +41,12 @@ class SymmetryFrame:
     t: float
     n_p: int
     p: float
-    theta_rs: float
     degenerate_p: bool
+
+    @property
+    def theta_rs(self) -> float:
+        hi, lo = _theta_dd(self.t)
+        return hi + lo
 
     @property
     def Theta(self) -> float:
@@ -66,39 +78,41 @@ class PredictedSum(NamedTuple):
     accuracy_unguaranteed: bool
 
 
-@lru_cache(maxsize=100_000)
-def _theta_dec(t: float) -> Decimal:
-    """Riemann-Siegel theta as a 44-digit Decimal (asymptotic series)."""
-    with localcontext() as ctx:
-        ctx.prec = _THETA_PREC
-        td = Decimal(t)
-        half = td / 2
-        series = half * (td / TWOPI_DEC).ln() - half - PI_DEC / 8
-        series += 1 / (48 * td) + 7 / (5760 * td * td * td)
-        return +series
+def _theta_dd(t: float):
+    """theta_RS(t) = (t/2)(log t - log 2*pi*e) - pi/8 + 1/48t + 7/5760t^3
+    as a dd pair, for t >= 2*pi.
+
+    log t = log(ref) + x + (log1p(x) - x), ref = round(t), x = (t - ref)/ref:
+    t - ref is exact (Sterbenz), log(ref) is the cached integer dd log, and
+    the plain-double tail costs at most (t/2)*ulp(x) < 1e-16 rad.  The tail
+    and the small series terms ride in lo words (rounding < 1e-18 rad).
+    """
+    ref = float(max(round(t), 1))
+    xh, xl = dd_div(t - ref, ref)
+    h, l = dd_add(*dd_log(ref), -LOG_TWOPI_E_HI, -LOG_TWOPI_E_LO)
+    h, l = dd_add(h, l, xh, xl + (math.log1p(xh) - xh))
+    h, l = dd_mul_double(h, l, 0.5 * t)
+    small = 1.0 / (48.0 * t) + 7.0 / (5760.0 * t * t * t)
+    return dd_add(h, l, -PI8_HI, small - PI8_LO)
 
 
 def rs_theta(t: float) -> float:
     """theta_RS(t) = (t/2)log(t/2pi) - t/2 - pi/8 + 1/48t + 7/5760t^3."""
     if t < THETA_T_MIN:
         raise DomainError(f"rs_theta needs t >= {THETA_T_MIN}, got {t}")
-    return float(_theta_dec(t))
+    hi, lo = _theta_dd(t)
+    return hi + lo
 
 
 def rs_theta_mod(t: float) -> float:
-    """theta_RS(t) reduced into [0, 2*pi), accurate to the last few ulps."""
+    """theta_RS(t) reduced into [0, 2*pi), within 4*ulp(2*pi) of the series."""
     if t < THETA_T_MIN:
         raise DomainError(f"rs_theta needs t >= {THETA_T_MIN}, got {t}")
     return _theta_mod_unchecked(t)
 
 
 def _theta_mod_unchecked(t: float) -> float:
-    with localcontext() as ctx:
-        ctx.prec = _THETA_PREC
-        m = _theta_dec(t) % TWOPI_DEC
-        if m < 0:
-            m += TWOPI_DEC
-        return float(m)
+    return mod_twopi(*_theta_dd(t))
 
 
 def sqrt_t_over_twopi(t: float) -> float:
@@ -115,15 +129,15 @@ def sqrt_t_over_twopi(t: float) -> float:
 
 
 def frame_of(t: float) -> SymmetryFrame:
-    """n_p, p, theta_RS and the degeneracy flag for one ordinate."""
+    """n_p, p and the degeneracy flag for one ordinate; theta_RS is read
+    from the frame on demand."""
     if t < TWOPI:
         raise DomainError(f"frame_of needs t >= 2*pi, got {t}")
     r = sqrt_t_over_twopi(t)
     n_p = int(math.floor(r))
     p = r - n_p
-    theta = float(_theta_dec(t))
     degenerate = abs(math.cos(TWOPI * p)) < DEGENERATE_COS_EPS
-    return SymmetryFrame(t=t, n_p=n_p, p=p, theta_rs=theta, degenerate_p=degenerate)
+    return SymmetryFrame(t=t, n_p=n_p, p=p, degenerate_p=degenerate)
 
 
 def big_q(s: Argument, variant: str = "continuous") -> complex:
@@ -135,14 +149,9 @@ def big_q(s: Argument, variant: str = "continuous") -> complex:
     t = s.t
     if t < TWOPI:
         raise DomainError(f"big_q needs t >= 2*pi, got {t}")
-    frame = frame_of(t)
-    mag = frame.q_magnitude(s.sigma, variant)
-    with localcontext() as ctx:
-        ctx.prec = _THETA_PREC
-        ph = (-2 * _theta_dec(t)) % TWOPI_DEC
-        if ph < 0:
-            ph += TWOPI_DEC
-        phase = float(ph)
+    mag = frame_of(t).q_magnitude(s.sigma, variant)
+    hi, lo = _theta_dd(t)
+    phase = mod_twopi(-2.0 * hi, -2.0 * lo)
     return mag * complex(math.cos(phase), math.sin(phase))
 
 

@@ -26,6 +26,7 @@ from zetasteps.cli import main
 from zetasteps.export import (
     LIMACON_HEADER,
     STEPPLOT_HEADER,
+    export_gram,
     export_histogram,
     export_limacon,
     export_loops,
@@ -181,6 +182,26 @@ class TestLoopsZerosHistogram:
         assert rows[0][1] in (11, 12)
 
 
+class TestGram:
+    def test_high_range_starts_near_t_lo(self):
+        import mpmath
+
+        misses = gram_point.cache_info().misses
+        rows = list(export_gram(20000.0, 20010.0))
+        # the listing starts at the Gram index below t_lo, not at g_0
+        assert gram_point.cache_info().misses - misses <= 20
+        assert [r[0] for r in rows] == list(range(22491, 22504))
+        for n, t in rows:
+            assert abs(t - float(mpmath.grampoint(n))) < 1e-6
+
+    def test_range_ends(self):
+        g = [gram_point(n).t for n in range(6)]
+        assert list(export_gram(1.0, 17.0)) == []
+        assert [r[0] for r in export_gram(g[1], g[4])] == [1, 2, 3, 4]
+        assert [r[0] for r in export_gram(g[1] + 1e-9, g[4] - 1e-9)] == [2, 3]
+        assert list(export_gram(g[3], g[2])) == []
+
+
 class TestCli:
     def run(self, *argv):
         return main(list(argv))
@@ -209,6 +230,16 @@ class TestCli:
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert [int(r[0]) for r in rows] == [30, 31, 32, 33]
         assert abs(float(rows[0][1]) - 101.317851) < 1e-6
+
+    def test_count_below_one_exit_two(self, capsys):
+        for argv in (
+            ("zeros", "--t-lo", "10", "--t-hi", "40", "--count", "-2"),
+            ("zeros", "--t-lo", "10", "--t-hi", "40", "--count", "0"),
+            ("histogram", "--count", "-3"),
+            ("histogram", "--count", "0"),
+        ):
+            assert self.run(*argv, "--workers", "1") == 2
+            assert "zero count must be >= 1" in capsys.readouterr().err
 
     def test_zeros_csv_to_file(self, tmp_path, capsys):
         out = tmp_path / "z.csv"

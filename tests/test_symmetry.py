@@ -22,6 +22,7 @@ from zetasteps import (
     pendant_offset,
     reduced_phase,
     rs_theta,
+    rs_theta_mod,
 )
 
 mpmath.mp.dps = 40
@@ -92,6 +93,60 @@ class TestTheta:
     def test_domain(self):
         with pytest.raises(DomainError):
             rs_theta(5.0)
+
+
+def mp_theta_series(t):
+    """The theta series at dps 50 (mp_theta rounds it to a double)."""
+    with mpmath.workdps(50):
+        td = mpmath.mpf(t)
+        return (td / 2 * mpmath.log(td / (2 * mpmath.pi)) - td / 2
+                - mpmath.pi / 8 + 1 / (48 * td) + 7 / (5760 * td**3))
+
+
+def circular_gap(a, b):
+    d = abs(a - b) % TWOPI
+    return min(d, TWOPI - d)
+
+
+class TestThetaContract:
+    """rs_theta_mod within 4 ulp(2*pi) of the series mod 2*pi, rs_theta to
+    4e-16 relative, and arg Q(1/2 + it) = -2*theta, on [10, 1e8].  Dropping
+    the log1p tail of log t misses the first bound by up to 1/(16t)."""
+
+    EDGES = (10.0, 10.5, TWOPI * 4, 1e3 + 0.5, 1e6, TWOPI * 1e6, 1e8 - 0.5)
+
+    def check(self, t):
+        th = mp_theta_series(t)
+        with mpmath.workdps(50):
+            want_mod = float(th % (2 * mpmath.pi))
+            want_q = float((-2 * th) % (2 * mpmath.pi))
+        assert circular_gap(rs_theta_mod(t), want_mod) <= 4 * math.ulp(TWOPI)
+        assert abs(rs_theta(t) - float(th)) <= 4e-16 * max(1.0, abs(float(th)))
+        q = big_q(Argument(0.5, t))
+        assert circular_gap(math.atan2(q.imag, q.real), want_q) <= 1e-14
+
+    def test_edges(self):
+        for t in self.EDGES:
+            self.check(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(min_value=10.0, max_value=1e8))
+    def test_sweep(self, t):
+        self.check(t)
+
+    def test_frame_reads_theta_on_demand(self, monkeypatch):
+        import zetasteps.symmetry as sym
+
+        t = 1234.5
+        fr = frame_of(t)
+        assert fr.theta_rs == rs_theta(t)
+        assert fr.Theta == -rs_theta(t)
+
+        def no_theta(_t):
+            raise AssertionError("frame_of computed theta")
+
+        monkeypatch.setattr(sym, "_theta_dd", no_theta)
+        assert frame_of(t).n_p == fr.n_p
 
 
 class TestBigQ:

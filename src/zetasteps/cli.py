@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -164,6 +165,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         header, rows = _dispatch(args)
+        # Exporters are generators that check their arguments on the first
+        # row; take it before anything is written or --out is created.
+        rows = iter(rows)
+        rows = itertools.chain(list(itertools.islice(rows, 1)), rows)
         with contextlib.ExitStack() as stack:
             if args.out is None:
                 stream = sys.stdout

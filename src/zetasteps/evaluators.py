@@ -216,7 +216,7 @@ def zeta_on_line(t: float) -> complex:
 def z_reference(t: float, target_abs_error: float = 1e-10) -> float:
     """Z(t) through the reference oracle: Re(exp(i*theta) * zeta(1/2+it)).
 
-    Used to certify and polish zeros located by the fast rs_z scan.
+    The zero solver refines each bracket of the fast rs_z scan on it.
     """
     theta_mod = _theta_mod_unchecked(t)
     value = eval_reference(Argument(0.5, t), target_abs_error).value

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 import numpy as np
 
 from .errors import DomainError, ResourceGuardError
-from .evaluators import eval_em_paper, eval_reference
+from .evaluators import eval_em_paper
 from .steps import Argument, phase_blocks
 from .symmetry import (
     TWOPI,
@@ -228,8 +228,7 @@ def export_loops(
 
 def _zero_rows(records: Sequence[ZeroRecord]) -> Iterator[Tuple]:
     for rec in records:
-        residual = abs(eval_reference(Argument(0.5, rec.t)).value)
-        yield (rec.ordinal, rec.t, rec.gram_index, rec.scaled_offset, residual)
+        yield (rec.ordinal, rec.t, rec.gram_index, rec.scaled_offset, rec.residual)
 
 
 def export_zeros(

@@ -1,16 +1,16 @@
 """Gram points, Z sign-change scanning, zero refinement and statistics.
 
-The scan walks Gram intervals with the fast first-order rs_z; brackets are
-refined by guarded bisection (with secant acceleration) and then polished
-against the reference oracle so every reported ordinate is a true zero of
-zeta(1/2 + it) to the requested tolerance.
+The scan walks Gram intervals with the fast first-order rs_z; each bracket
+is then refined once, by an Illinois solve on the reference oracle, so every
+reported ordinate is a true zero of zeta(1/2 + it) to the requested
+tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -19,11 +19,11 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .evaluators import rs_z, z_reference
 from .symmetry import TWOPI, rs_theta
-from .steps import Argument
 
 _GRAM_TOL = 1e-10
 _GRAM_MAX_ITER = 50
 _T_SCAN_FLOOR = 10.0
+_TOL_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class ZeroRecord:
     bracket: Tuple[float, float]
     gram_index: int
     scaled_offset: float
+    residual: float = math.nan  # oracle |Z| at t; NaN where z was not evaluated
 
 
 @lru_cache(maxsize=100_000)
@@ -114,15 +115,10 @@ def scan_z_sign_changes(
     if t_hi <= t_lo:
         return []
     edges = [t_lo]
-    n = _gram_index_below(t_lo)
-    while True:
+    n = _gram_index_below(t_lo) + 1  # g_n > t_lo
+    while gram_point(n).t < t_hi:
+        edges.append(gram_point(n).t)
         n += 1
-        g = gram_point(max(n, 0)).t if n >= 0 else None
-        if g is None or g <= edges[-1]:
-            continue
-        if g >= t_hi:
-            break
-        edges.append(g)
     edges.append(t_hi)
     brackets: List[Tuple[float, float]] = []
     found = 0
@@ -144,71 +140,83 @@ def scan_z_sign_changes(
 def refine_zero(
     bracket: Tuple[float, float],
     tol: float,
-    z: Callable[[float], float] = rs_z,
+    z: Callable[[float], float] = z_reference,
     ordinal: int = 0,
 ) -> ZeroRecord:
-    """Shrink a sign-change bracket below tol; bisection with secant steps,
-    bracketing maintained throughout."""
-    if tol < 1e-10:
-        raise DomainError("tol must be >= 1e-10")
+    """Shrink a sign-change bracket of z below tol by an Illinois solve.
+
+    A bracket no wider than tol gives its midpoint without evaluating z.
+    Otherwise the record holds the final-bracket endpoint with the smaller
+    |z|, which lies within tol of the zero, and that |z| as its residual.
+    """
+    if tol < _TOL_FLOOR:
+        raise DomainError(f"tol must be >= {_TOL_FLOOR:g}")
     lo, hi = bracket
     if hi < lo:
         raise DomainError("bracket endpoints out of order")
     if hi - lo <= tol:
-        t = 0.5 * (lo + hi)
-        return _make_record(ordinal, t, (lo, hi))
-    f_lo = z(lo)
-    f_hi = z(hi)
-    if f_lo == 0.0:
-        return _make_record(ordinal, lo, (lo, lo))
-    if f_hi == 0.0:
-        return _make_record(ordinal, hi, (hi, hi))
+        return _make_record(ordinal, 0.5 * (lo + hi), (lo, hi))
+    return _illinois(z, lo, hi, z(lo), z(hi), tol, ordinal)
+
+
+def _illinois(z, lo, hi, f_lo, f_hi, tol, ordinal=0) -> ZeroRecord:
+    """Illinois (modified regula falsi) solve on [lo, hi] from the known
+    endpoint values f_lo = z(lo), f_hi = z(hi) (Dowell & Jarratt, BIT 11,
+    1971): an endpoint kept twice in a row has its weight halved, so the
+    bracket closes from both sides superlinearly."""
     if f_lo * f_hi > 0.0:
         raise DomainError("Z does not change sign across the bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f_hi != f_lo:
-            sec = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            if lo + 0.1 * (hi - lo) < sec < hi - 0.1 * (hi - lo):
-                mid = sec
-        f_mid = z(mid)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
+    w_lo, w_hi = f_lo, f_hi
+    moved = 0  # -1: lo moved last, +1: hi moved last
+    while hi - lo > tol and f_lo * f_hi < 0.0:
+        t = hi - w_hi * (hi - lo) / (w_hi - w_lo)
+        # Step at least tol/2 off each end: a point that has converged from
+        # one side then brackets the zero within tol in one more call.
+        t = min(max(t, lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                break  # lo and hi are adjacent floats
+        f_t = z(t)
+        if f_t * f_lo > 0.0:
+            lo, f_lo, w_lo = t, f_t, f_t
+            if moved < 0:
+                w_hi *= 0.5
+            moved = -1
         else:
-            lo, f_lo = mid, f_mid
-    t = 0.5 * (lo + hi)
-    return _make_record(ordinal, t, (lo, hi))
+            hi, f_hi, w_hi = t, f_t, f_t
+            if moved > 0:
+                w_lo *= 0.5
+            moved = 1
+    t, f_t = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    return _make_record(ordinal, t, (lo, hi), abs(f_t))
 
 
-def _make_record(ordinal: int, t: float, bracket: Tuple[float, float]) -> ZeroRecord:
+def _make_record(
+    ordinal: int, t: float, bracket: Tuple[float, float], residual: float = math.nan
+) -> ZeroRecord:
     idx = _gram_index_below(t)
     if idx < 0:
-        return ZeroRecord(ordinal, t, bracket, -1, math.nan)
+        return ZeroRecord(ordinal, t, bracket, -1, math.nan, residual)
     g0 = gram_point(idx).t
     g1 = gram_point(idx + 1).t
     offset = (t - 0.5 * (g0 + g1)) / (0.5 * (g1 - g0))
-    return ZeroRecord(ordinal, t, bracket, idx, offset)
+    return ZeroRecord(ordinal, t, bracket, idx, offset, residual)
 
 
-def _polish_with_oracle(rec: ZeroRecord, tol: float) -> ZeroRecord:
-    """Move an rs_z zero onto the oracle Z; widens the bracket until the
-    oracle changes sign, then refines on it."""
-    h = max(4.0 * tol, 1e-4)
-    t = rec.t
-    for _ in range(18):
-        lo, hi = t - h, t + h
-        f_lo = z_reference(lo)
-        f_hi = z_reference(hi)
-        if f_lo * f_hi < 0.0:
-            polished = refine_zero((lo, hi), tol, z=z_reference, ordinal=rec.ordinal)
-            return polished
-        h *= 2.0
+def _refine_on_oracle(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
+    """Refine an rs_z scan bracket on the oracle Z.  Where the oracle keeps
+    one sign across it, both ends widen by h = 1e-4, 2e-4, ... up to 1."""
+    lo, hi = bracket
+    f_lo, f_hi = z_reference(lo), z_reference(hi)
+    h = 1e-4
+    while f_lo * f_hi > 0.0:
         if h > 1.0:
-            break
-    raise ConvergenceError(f"oracle polish failed near t = {rec.t}")
+            raise ConvergenceError(f"no oracle sign change near {bracket}")
+        lo, hi = bracket[0] - h, bracket[1] + h
+        f_lo, f_hi = z_reference(lo), z_reference(hi)
+        h *= 2.0
+    return _illinois(z_reference, lo, hi, f_lo, f_hi, tol)
 
 
 def find_zeros(
@@ -216,66 +224,49 @@ def find_zeros(
     t_hi: float,
     tol: float = 1e-8,
     subdivisions_per_gram: int = 8,
-    polish: bool = True,
     certify: bool = False,
     workers: int = 1,
     ordinal_offset: Optional[int] = None,
 ) -> List[ZeroRecord]:
-    """Scan, refine and (by default) oracle-polish all zeros in [t_lo, t_hi].
+    """Scan with rs_z, then refine each bracket once on the oracle.
 
     Chunks are Gram-aligned and merged by ordinate, so the result does not
-    depend on the worker count.  certify=True additionally checks
-    |zeta(1/2 + it)| < 1e-5 at every polished ordinate.
+    depend on the worker count.  Each record carries the oracle |Z| at its
+    ordinate as `residual`; certify=True checks it is < 1e-5.
+
+    Known defect: for t_lo > 14 the first ordinal is
+    round(zero_count_main(t_lo)), which ignores S(t) and can be one too
+    high (find_zeros(527, 529) numbers its zeros 290 and 291 where
+    mpmath.zetazero gives 289 and 290); an exact count needs a Turing bound.
     """
+    if tol < _TOL_FLOOR:
+        raise DomainError(f"tol must be >= {_TOL_FLOOR:g}")
     t_lo = max(t_lo, _T_SCAN_FLOOR)
     if ordinal_offset is None:
         ordinal_offset = (
             0 if t_lo <= 14.0 else max(0, int(round(zero_count_main(t_lo))))
         )
+
+    def pmap(fn, items):
+        if workers <= 1:  # inline: a pool thread's own malloc arena adds ~3 MB RSS
+            return list(map(fn, items))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+
     chunks = _gram_aligned_chunks(t_lo, t_hi, workers)
-
-    def scan_chunk(chunk):
-        lo, hi = chunk
-        return scan_z_sign_changes(lo, hi, subdivisions_per_gram)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(scan_chunk, chunks))
-    else:
-        per_chunk = [scan_chunk(c) for c in chunks]
+    per_chunk = pmap(lambda c: scan_z_sign_changes(*c, subdivisions_per_gram), chunks)
     brackets = sorted({b for chunk in per_chunk for b in chunk})
-
-    def refine_one(item):
-        i, bracket = item
-        rec = refine_zero(bracket, tol, ordinal=ordinal_offset + i + 1)
-        if polish:
-            rec = _polish_with_oracle(rec, tol)
-        return rec
-
-    items = list(enumerate(brackets))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(refine_one, items))
-    else:
-        records = [refine_one(it) for it in items]
-    records.sort(key=lambda r: r.t)
-    deduped: List[ZeroRecord] = []
-    for rec in records:
-        if deduped and rec.t - deduped[-1].t <= 10.0 * tol:
+    refined = pmap(lambda b: _refine_on_oracle(b, tol), brackets)
+    records: List[ZeroRecord] = []
+    for rec in sorted(refined, key=lambda r: r.t):
+        if records and rec.t - records[-1].t <= 10.0 * tol:
             continue
-        deduped.append(rec)
-    records = [
-        ZeroRecord(ordinal_offset + i + 1, r.t, r.bracket, r.gram_index, r.scaled_offset)
-        for i, r in enumerate(deduped)
-    ]
+        records.append(replace(rec, ordinal=ordinal_offset + len(records) + 1))
     if certify:
-        from .evaluators import eval_reference
-
         for rec in records:
-            resid = abs(eval_reference(Argument(0.5, rec.t)).value)
-            if resid >= 1e-5:
+            if rec.residual >= 1e-5:
                 raise ConvergenceError(
-                    f"zero at t={rec.t} failed certification (|zeta| = {resid:g})"
+                    f"zero at t={rec.t} failed certification (|zeta| = {rec.residual:g})"
                 )
     return records
 
@@ -291,7 +282,7 @@ def _gram_aligned_chunks(t_lo: float, t_hi: float, workers: int):
     cuts = [t_lo]
     for k in range(1, n_chunks):
         idx = lo_idx + (hi_idx - lo_idx) * k // n_chunks
-        cuts.append(gram_point(max(idx, 0)).t)
+        cuts.append(gram_point(idx).t)
     cuts.append(t_hi)
     return [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 

@@ -241,6 +241,25 @@ class TestCli:
             assert self.run(*argv, "--workers", "1") == 2
             assert "zero count must be >= 1" in capsys.readouterr().err
 
+    def test_argument_errors_write_nothing(self, tmp_path, capsys):
+        for argv in (
+            ("stepplot", "--t", "1000", "--decimation", "0"),
+            ("histogram", "--count", "5", "--bins", "0", "--workers", "1"),
+            ("limacon", "--t-lo", "20", "--t-hi", "10", "--samples", "5"),
+            ("surface", "--t-lo", "20", "--t-hi", "30", "--n-sigma", "1"),
+            ("loops", "--t-lo", "20", "--t-hi", "30", "--samples", "0"),
+        ):
+            assert self.run(*argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "domain error" in captured.err
+            out = tmp_path / f"{argv[0]}.csv"
+            assert self.run(*argv, "--out", str(out)) == 2
+            assert not out.exists()
+        empty = tmp_path / "gram.csv"
+        assert self.run("gram", "--t-lo", "20", "--t-hi", "20.1", "--out", str(empty)) == 0
+        assert empty.read_text() == "index,t\n"
+
     def test_zeros_csv_to_file(self, tmp_path, capsys):
         out = tmp_path / "z.csv"
         assert self.run("zeros", "--t-lo", "10", "--t-hi", "30",

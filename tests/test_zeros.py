@@ -1,6 +1,8 @@
 """Gram points, sign-change scanning, refinement, offset statistics."""
 
 import math
+import sys
+import types
 
 import mpmath
 import pytest
@@ -21,6 +23,7 @@ from zetasteps import (
     scan_z_sign_changes,
     zero_count_main,
 )
+from zetasteps.export import export_zeros
 from zetasteps.zeros import ZeroRecord
 
 mpmath.mp.dps = 30
@@ -141,6 +144,72 @@ class TestPipeline:
         want = [(r.ordinal, round(r.t, 6)) for r in whole if r.t >= 40.0]
         assert got == want
         assert got[0][0] == offset + 1
+
+
+def _instrument(monkeypatch, fn, wrapper):
+    """Put wrapper in place of fn wherever zetasteps holds it: module
+    attributes and default arguments bound at definition (scan's z=rs_z)."""
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "zetasteps" or name.startswith("zetasteps.")):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, wrapper)
+            elif isinstance(value, types.FunctionType) and any(
+                d is fn for d in value.__defaults__ or ()
+            ):
+                monkeypatch.setattr(value, "__defaults__", tuple(
+                    wrapper if d is fn else d for d in value.__defaults__
+                ))
+
+
+class TestOneStageRefine:
+    @pytest.mark.parametrize("window, ns", [((527.0, 529.0), (289, 290)),
+                                            ((711.0, 712.5), (423, 424))])
+    def test_widening_window(self, window, ns):
+        # the rs_z brackets [528.2290, 528.4062] and [711.7341, 711.9002]
+        # miss the oracle sign change by 2.7e-5 and 1.1e-4
+        got = [r.t for r in find_zeros(*window, workers=1)]
+        want = [float(mpmath.zetazero(n).imag) for n in ns]
+        assert len(got) == len(want)
+        for t, w in zip(got, want):
+            assert abs(t - w) <= 1e-8
+
+    def test_call_budget(self, monkeypatch):
+        calls = {"oracle": 0, "rs_scan": 0, "rs_other": 0}
+        in_scan = [False]
+
+        def oracle(*args, **kwargs):
+            calls["oracle"] += 1
+            return eval_reference(*args, **kwargs)
+
+        def fast(t):
+            calls["rs_scan" if in_scan[0] else "rs_other"] += 1
+            return rs_z(t)
+
+        def scan(*args, **kwargs):
+            in_scan[0] = True
+            try:
+                return scan_z_sign_changes(*args, **kwargs)
+            finally:
+                in_scan[0] = False
+
+        _instrument(monkeypatch, eval_reference, oracle)
+        _instrument(monkeypatch, rs_z, fast)
+        _instrument(monkeypatch, scan_z_sign_changes, scan)
+        t_hi = gram_point(110).t
+        records = find_zeros(10.0, t_hi, workers=1)
+        found = dict(calls)
+        assert len(records) >= 100
+        assert found["oracle"] <= 10 * len(records)
+        assert found["rs_scan"] > 0 and found["rs_other"] == 0
+        rows = list(export_zeros(t_hi=t_hi, workers=1))
+        assert calls["oracle"] == 2 * found["oracle"]  # the search again, nothing more
+        assert [r[4] for r in rows] == [r.residual for r in records]
+        monkeypatch.undo()
+        for rec in records:
+            want = abs(eval_reference(Argument(0.5, rec.t)).value)
+            assert abs(rec.residual - want) <= 1e-9
 
 
 class TestOffsets:

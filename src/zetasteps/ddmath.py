@@ -10,22 +10,20 @@ The primitives are branch-free and polymorphic: they accept Python floats
 or numpy arrays alike (Dekker splitting instead of fma, which CPython 3.10
 does not expose).
 
-Decimal arithmetic lives here only: it rounds the dd constants, the cached
-integer logs, the first log-table entries and non-integer `dd_log`.
+Every dd logarithm comes from one table-driven kernel, `_dd_log`, which
+serves the scalar `dd_log` and the integer log table alike.  The dd
+constants are float literals rounded from 50-digit mpmath values.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp split constant
 
-_DD_PREC = 44
-PI_STR = "3.1415926535897932384626433832795028841971693993751"
 TWOPI = 2.0 * math.pi
 
 
@@ -73,80 +71,101 @@ def dd_mul_double(xh, xl, c):
     return hh, hl
 
 
-def dd_div(a, b):
-    """(a/b) as a dd pair; a, b plain doubles (or arrays)."""
+def dd_div(a, b, bl=0.0):
+    """a/(b + bl) as a dd pair; a plain double, b + bl a dd (or arrays)."""
     q1 = a / b
     ph, pe = two_prod(q1, b)
-    r = (a - ph) - pe
+    r = ((a - ph) - pe) - q1 * bl
     q2 = r / b
     return two_sum(q1, q2)
 
 
-def dd_from_decimal(d: Decimal):
-    hi = float(d)
-    lo = float(d - Decimal(hi))
-    return hi, lo
+# dd constants of the mod-2*pi reduction and of theta_RS (2*pi, log 2*pi*e
+# and pi/8), rounded from 50-digit mpmath values.
+TWOPI_HI, TWOPI_LO = 6.283185307179586, 2.4492935982947064e-16
+LOG_TWOPI_E_HI, LOG_TWOPI_E_LO = 2.8378770664093453, 1.4447872176368647e-16
+PI8_HI, PI8_LO = 0.39269908169872414, 1.5308084989341915e-17
+
+_THIRD = dd_div(1.0, 3.0)
+_FIFTH = dd_div(1.0, 5.0)
 
 
-# dd constants of the mod-2*pi reduction and of theta_RS, rounded from
-# 44-digit Decimals (the default 28-digit context would spoil the lo words).
-with localcontext() as _ctx:
-    _ctx.prec = _DD_PREC
-    _twopi_dec = 2 * Decimal(PI_STR)
-    TWOPI_HI, TWOPI_LO = dd_from_decimal(_twopi_dec)
-    LOG_TWOPI_E_HI, LOG_TWOPI_E_LO = dd_from_decimal(_twopi_dec.ln() + 1)
-    PI8_HI, PI8_LO = dd_from_decimal(_twopi_dec / 16)
+def _atanh2(uh, ul):
+    """2*atanh(u) as a dd pair for a dd u with |u| <= 1/129.
+
+    atanh(u) = u + u*w*(1/3 + w*(1/5 + w*T)), w = u^2: the terms up to u^5/5
+    run in dd, the tail T = 1/7 + w/9 + w^2/11 + w^3/13 in plain doubles.
+    Rounding T costs at most 3e-29*|u| at |u| = 1/129 and 5e-31*|u| at
+    |u| = 1/256; the first dropped term, u^15/15, is smaller still.
+    """
+    wh, wl = dd_mul(uh, ul, uh, ul)
+    tail = wh * (1.0 / 7.0 + wh * (1.0 / 9.0 + wh * (1.0 / 11.0 + wh / 13.0)))
+    sh, sl = dd_add(*_FIFTH, tail, 0.0)
+    sh, sl = dd_mul(sh, sl, wh, wl)
+    sh, sl = dd_add(*_THIRD, sh, sl)
+    sh, sl = dd_mul(sh, sl, wh, wl)
+    sh, sl = dd_mul(sh, sl, uh, ul)
+    sh, sl = dd_add(uh, ul, sh, sl)
+    return 2.0 * sh, 2.0 * sl
 
 
-@lru_cache(maxsize=200_000)
-def _dd_log_cached(x: float):
-    with localcontext() as ctx:
-        ctx.prec = _DD_PREC
-        return dd_from_decimal(Decimal(x).ln())
+# dd log(1 + j/64) for j = 0..64, chained by
+# log(c_{j+1}) = log(c_j) + 2*atanh(1/(129 + 2j)); the last knot is log 2.
+_KNOTS = [(0.0, 0.0)]
+for _j in range(64):
+    _KNOTS.append(dd_add(*_KNOTS[-1], *_atanh2(*dd_div(1.0, 129.0 + 2 * _j))))
+_KNOT_HI, _KNOT_LO = np.array(_KNOTS).T
+
+
+def _dd_log(x):
+    """log x as a dd pair for finite x > 0, a float or an ndarray.
+
+    Table-driven after Tang (ACM TOMS 16, 1990): x = 2^k * m with m in
+    [1, 2), c = 1 + j/64 the knot nearest m, and
+    log x = k*log 2 + log c + 2*atanh(u), u = (m - c)/(m + c), |u| <= 1/256.
+    m - c is exact and m + c is carried as a dd pair, so u is a dd quotient.
+    """
+    if isinstance(x, float):
+        f, e = math.frexp(x)
+        j = round(128.0 * f) - 64
+        ch, cl = _KNOTS[j]
+    else:
+        f, e = np.frexp(x)
+        j = np.rint(128.0 * f).astype(np.intp) - 64
+        ch, cl = _KNOT_HI[j], _KNOT_LO[j]
+    m = 2.0 * f  # x = 2^(e-1) * m
+    c = 1.0 + j / 64.0
+    sh, sl = two_sum(m, c)
+    h, l = dd_mul_double(*_KNOTS[64], e - 1.0)
+    h, l = dd_add(h, l, ch, cl)
+    return dd_add(h, l, *_atanh2(*dd_div(m - c, sh, sl)))
+
+
+_dd_log_memo = lru_cache(maxsize=200_000)(_dd_log)
 
 
 def dd_log(x: float):
-    """log(x) as a dd pair, accurate to ~1e-32 relative."""
+    """log(x) as a dd pair, within 4e-30*max(1, |log x|) of the true value.
+
+    Measured against 50-digit mpmath: at most 6.1e-31*max(1, |log x|) over
+    48k doubles (uniform in bit pattern, near 1, and the knot edges); the
+    error is mostly the 3.3e-31 of the log 2 knot, times the exponent.
+    Results are cached: `step_term` and theta ask for the same small
+    integers on every call.
+    """
     if x <= 0.0 or not math.isfinite(x):
         raise ValueError(f"dd_log requires finite x > 0, got {x}")
-    if x == 1.0:
-        return 0.0, 0.0
-    if float(x).is_integer() and 2.0 <= x <= 1e15:
-        return _dd_log_cached(float(x))
-    with localcontext() as ctx:
-        ctx.prec = _DD_PREC
-        return dd_from_decimal(Decimal(x).ln())
+    return _dd_log_memo(float(x))
 
 
 # ---------------------------------------------------------------------------
-# Vectorized dd log table for integers 1..n, grown on demand.  Blocks use a
-# log1p series around an exactly-known reference value, so the only Decimal
-# work is one ln per block (plus the first 1024 entries).  The (hi, lo)
-# pair is published as one tuple, so a reader on another thread never sees
-# the arrays of two different growths.
+# dd log table for integers 1..n, grown on demand by the same kernel in
+# fixed chunks (the chunk bounds the temporaries).  The (hi, lo) pair is
+# published as one tuple, so a reader on another thread never sees the
+# arrays of two different growths.
 
-_LOG_TABLE_SEED = 1024
+_LOG_CHUNK = 1 << 14
 _log = (np.zeros(2), np.zeros(2))
-
-
-def _series_block(ref: int, n_arr: np.ndarray):
-    """dd log(n) for n in n_arr, via log(ref) + log1p((n-ref)/ref).
-
-    Requires |n - ref| <= ref/32 so ~23 series terms reach 1e-34.
-    """
-    rh, rl = _dd_log_cached(float(ref))
-    d = n_arr - float(ref)  # exact: integers below 2**53
-    xh, xl = dd_div(d, float(ref))
-    # log1p(x) = sum_{k>=1} (-1)^(k+1) x^k / k
-    sh = np.zeros_like(n_arr)
-    sl = np.zeros_like(n_arr)
-    ph, pl = np.ones_like(n_arr), np.zeros_like(n_arr)
-    for k in range(1, 24):
-        ph, pl = dd_mul(ph, pl, xh, xl)
-        c = 1.0 / k if k % 2 == 1 else -1.0 / k
-        th, tl = dd_mul_double(ph, pl, c)
-        sh, sl = dd_add(sh, sl, th, tl)
-    return dd_add(sh, sl, rh, rl)
 
 
 def log_table(nmax: int):
@@ -154,27 +173,15 @@ def log_table(nmax: int):
     global _log
     old_hi, old_lo = _log
     size = len(old_hi)
-    if nmax < size - 1:
+    if nmax < size:
         return old_hi, old_lo
-    target = nmax + 1
-    hi = np.empty(target)
-    lo = np.empty(target)
+    hi = np.empty(nmax + 1)
+    lo = np.empty(nmax + 1)
     hi[:size] = old_hi
     lo[:size] = old_lo
-    hi[0] = lo[0] = 0.0
-    start = max(size, 1)
-    if start < min(target, _LOG_TABLE_SEED):
-        with localcontext() as ctx:
-            ctx.prec = _DD_PREC
-            for n in range(start, min(target, _LOG_TABLE_SEED)):
-                hi[n], lo[n] = dd_from_decimal(Decimal(n).ln())
-        start = min(target, _LOG_TABLE_SEED)
-    while start < target:
-        stop = min(target, start + max(1, start // 32))
-        ref = start + (stop - 1 - start) // 2
-        n_arr = np.arange(start, stop, dtype=float)
-        hi[start:stop], lo[start:stop] = _series_block(ref, n_arr)
-        start = stop
+    for start in range(size, nmax + 1, _LOG_CHUNK):
+        stop = min(nmax + 1, start + _LOG_CHUNK)
+        hi[start:stop], lo[start:stop] = _dd_log(np.arange(start, stop, dtype=float))
     _log = (hi, lo)
     return hi, lo
 

@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceGuardError
 from .evaluators import eval_em_paper
-from .steps import Argument, phase_blocks
+from .steps import Argument, phase_blocks, phase_diffs
 from .symmetry import (
-    TWOPI,
     big_q,
     center_point,
     conj_region,
@@ -137,9 +136,7 @@ def export_stepplot(s: Argument, decimation: int = 1) -> Iterator[Tuple]:
         terms_im = lengths * np.sin(phases[: b - a + 1])
         cum_re = np.cumsum(terms_re) + math.fsum(carry_parts_re)
         cum_im = np.cumsum(terms_im) + math.fsum(carry_parts_im)
-        d1 = np.mod(phases[1:] - phases[:-1], TWOPI)
-        d1 = np.where(d1 > 0.0, d1 - TWOPI, 0.0)
-        d2 = np.mod(phases[2:] - 2.0 * phases[1:-1] + phases[:-2], TWOPI)
+        d1, d2 = phase_diffs(phases)
         for n in range(a, b + 1):
             i = n - a
             if (

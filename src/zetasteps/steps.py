@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddmath import (
-    dd_add,
-    dd_log,
-    log_table,
-    mod_twopi,
-    phase_from_dd_log,
-    two_prod,
-)
+from .ddmath import TWOPI, dd_add, dd_log, log_table, phase_from_dd_log
 from .errors import ResourceGuardError
 
 RANGE_GUARD = 1_000_000_000
@@ -115,6 +108,16 @@ def partial_sum(a: int, b: int, s: Argument) -> complex:
     return complex(math.fsum(re_parts), -im if s.t < 0.0 else im)
 
 
+def phase_diffs(phases):
+    """(d1, d2) of consecutive reduced phases: d1[i] is the first forward
+    difference at i reduced into (-2*pi, 0], d2[i] the second forward
+    difference reduced into [0, 2*pi)."""
+    d1 = np.mod(phases[1:] - phases[:-1], TWOPI)
+    d1 = np.where(d1 > 0.0, d1 - TWOPI, 0.0)
+    d2 = np.mod(phases[2:] - 2.0 * phases[1:-1] + phases[:-2], TWOPI)
+    return d1, d2
+
+
 def angle_diffs(n: int, t: float):
     """(delta1_raw, delta1_mod, delta2_mod) of the step angles at n.
 
@@ -124,22 +127,10 @@ def angle_diffs(n: int, t: float):
     """
     if n < 1:
         raise ValueError("step index must be >= 1")
-    l0h, l0l = dd_log(n) if n > 1 else (0.0, 0.0)
+    l0h, l0l = dd_log(n)
     l1h, l1l = dd_log(n + 1)
-    l2h, l2l = dd_log(n + 2)
     # log((n+1)/n) in dd; the subtraction is safe because the pair parts
     # carry ~32 digits (equivalent to a log1p evaluation at large n).
     d1h, d1l = dd_add(l1h, l1l, -l0h, -l0l)
-    delta1_raw = -t * (d1h + d1l)
-    ph, pe = two_prod(-t, d1h)
-    pe = pe + (-t) * d1l
-    m = mod_twopi(ph, pe)
-    delta1_mod = m - 2.0 * math.pi if m > 0.0 else 0.0
-    # theta_{n+2} - 2*theta_{n+1} + theta_n = -t*(log n + log(n+2) - 2 log(n+1))
-    g1h, g1l = dd_add(l0h, l0l, l2h, l2l)
-    g2h, g2l = dd_add(-l1h, -l1l, -l1h, -l1l)
-    gh, gl = dd_add(g1h, g1l, g2h, g2l)
-    qh, qe = two_prod(-t, gh)
-    qe = qe + (-t) * gl
-    delta2_mod = mod_twopi(qh, qe)
-    return delta1_raw, delta1_mod, delta2_mod
+    d1, d2 = phase_diffs(np.array([reduced_phase(t, m) for m in (n, n + 1, n + 2)]))
+    return -t * (d1h + d1l), float(d1[0]), float(d2[0])

@@ -83,9 +83,11 @@ def _theta_dd(t: float):
     as a dd pair, for t >= 2*pi.
 
     log t = log(ref) + x + (log1p(x) - x), ref = round(t), x = (t - ref)/ref:
-    t - ref is exact (Sterbenz), log(ref) is the cached integer dd log, and
-    the plain-double tail costs at most (t/2)*ulp(x) < 1e-16 rad.  The tail
-    and the small series terms ride in lo words (rounding < 1e-18 rad).
+    t - ref is exact (Sterbenz), log(ref) is `dd_log` of an integer, which
+    its cache serves again for every t that rounds to ref (dd_log(t) itself
+    would miss the cache on each new t), and the plain-double tail costs at
+    most (t/2)*ulp(x) < 1e-16 rad.  The tail and the small series terms ride
+    in lo words (rounding < 1e-18 rad).
     """
     ref = float(max(round(t), 1))
     xh, xl = dd_div(t - ref, ref)

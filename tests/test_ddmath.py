@@ -1,0 +1,114 @@
+"""The double-double log contract, against mpmath at 50 digits."""
+
+import math
+import random
+import sys
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zetasteps import ddmath
+from zetasteps.ddmath import dd_log, log_table
+
+TABLE_N = 500_000
+
+
+def dd_error(exact, h, l):
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(h) + mpmath.mpf(l) - exact()))
+
+
+def log_error(x, h, l):
+    return dd_error(lambda: mpmath.log(mpmath.mpf(x)), h, l)
+
+
+def log_bound(x):
+    return 4e-30 * max(1.0, abs(math.log(x)))
+
+
+@pytest.mark.parametrize(
+    "name, exact",
+    [
+        ("TWOPI", lambda: 2 * mpmath.pi),
+        ("LOG_TWOPI_E", lambda: mpmath.log(2 * mpmath.pi) + 1),
+        ("PI8", lambda: mpmath.pi / 8),
+    ],
+)
+def test_dd_constants(name, exact):
+    h, l = getattr(ddmath, name + "_HI"), getattr(ddmath, name + "_LO")
+    assert dd_error(exact, h, l) <= 1e-32 * abs(h)
+
+
+EDGES = [
+    5e-324,
+    sys.float_info.max,
+    2.0**53 - 1,
+    1.0,
+    math.nextafter(1.0, 0.0),
+    math.nextafter(1.0, 2.0),
+    0.5,
+    2.0,
+    3.0,
+] + [
+    x
+    for j in range(65)
+    for knot_edge in (1 + j / 64 - 1 / 128, 1 + j / 64 + 1 / 128)
+    for x in (math.nextafter(knot_edge, 0.0), knot_edge, math.nextafter(knot_edge, 4.0))
+]
+
+
+def test_dd_log_edges():
+    bad = [x for x in EDGES if log_error(x, *dd_log(x)) > log_bound(x)]
+    assert bad == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(min_value=2.0**-1000, max_value=2.0**1000))
+def test_dd_log_sweep(x):
+    assert log_error(x, *dd_log(x)) <= log_bound(x)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
+def test_dd_log_domain(x):
+    with pytest.raises(ValueError):
+        dd_log(x)
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    monkeypatch.setattr(ddmath, "_log", (np.zeros(2), np.zeros(2)))
+
+
+def table_sample():
+    """2000 seeded indices, 1023-1025, the chunk edges of a growth from
+    the empty table, and the last entry."""
+    idx = set(random.Random(20261018).sample(range(2, TABLE_N + 1), 2000))
+    idx |= {1023, 1024, 1025, TABLE_N}
+    for edge in range(2, TABLE_N + 1, ddmath._LOG_CHUNK):
+        idx |= {edge - 1, edge}
+    return sorted(idx - {1})
+
+
+def test_log_table_accuracy_and_scalar_agreement(fresh_table):
+    hi, lo = log_table(TABLE_N)
+    assert hi[1] == lo[1] == 0.0
+    sample = table_sample()
+    worst = max(log_error(n, hi[n], lo[n]) for n in sample)
+    assert worst <= 1e-28
+    # the scalar path runs the same kernel, bit for bit
+    assert [dd_log(n) for n in sample] == [(hi[n], lo[n]) for n in sample]
+
+
+def test_log_table_growth_is_chunk_independent(fresh_table):
+    n = 3 * ddmath._LOG_CHUNK + 17
+    once = log_table(n)
+    ddmath._log = (np.zeros(2), np.zeros(2))
+    log_table(ddmath._LOG_CHUNK + 5)
+    twice = log_table(n)
+    assert np.array_equal(once[0], twice[0])
+    assert np.array_equal(once[1], twice[1])
+    # a table already large enough is returned as it is, not copied
+    assert log_table(n)[0] is twice[0]

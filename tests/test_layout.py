@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import tokenize
 
 import zetasteps
 
@@ -18,9 +19,26 @@ def imported_modules(path):
             yield node.module.split(".")[0]
 
 
-def test_only_ddmath_imports_decimal():
-    # Decimal arithmetic costs tens of microseconds per call; it may only
-    # seed dd constants and cached logs inside ddmath.
+def code_names(path):
+    """Identifiers in the code of path, leaving out comments and strings."""
+    with tokenize.open(path) as f:
+        return {
+            tok.string
+            for tok in tokenize.generate_tokens(f.readline)
+            if tok.type == tokenize.NAME
+        }
+
+
+def test_no_module_imports_decimal():
+    # Decimal arithmetic costs tens of microseconds per call; the dd log
+    # kernel and float-literal dd constants in ddmath leave no use for it.
     files = sorted(SRC.glob("*.py"))
     users = [f.name for f in files if "decimal" in imported_modules(f)]
-    assert users == ["ddmath.py"]
+    assert users == []
+
+
+def test_log_table_named_only_by_ddmath_and_steps():
+    # steps.phase_blocks is the one reader of the dd log table.
+    files = sorted(SRC.glob("*.py"))
+    users = [f.name for f in files if "log_table" in code_names(f)]
+    assert users == ["ddmath.py", "steps.py"]

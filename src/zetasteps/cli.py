@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import os
 import sys
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -37,7 +36,8 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "samples" in names:
         p.add_argument("--samples", type=int, default=1000)
     if "workers" in names:
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted and ignored: the zero search runs in one thread")
     p.add_argument("--format", choices=("csv", "json-lines"), default="csv")
     p.add_argument("--out", default=None)
 
@@ -125,8 +125,7 @@ def _dispatch(args) -> Tuple[Sequence[str], Iterator[Tuple]]:
         return _eval_rows(args)
     if args.command == "zeros":
         return ex.ZEROS_HEADER, ex.export_zeros(
-            t_hi=args.t_hi, count=args.count, tol=args.tol,
-            workers=args.workers, t_lo=args.t_lo,
+            t_hi=args.t_hi, count=args.count, tol=args.tol, t_lo=args.t_lo
         )
     if args.command == "gram":
         return ex.GRAM_HEADER, ex.export_gram(args.t_lo, args.t_hi)
@@ -156,7 +155,7 @@ def _dispatch(args) -> Tuple[Sequence[str], Iterator[Tuple]]:
         )
     if args.command == "histogram":
         return ex.HISTOGRAM_HEADER, ex.export_histogram(
-            args.count, args.bins, tol=args.tol, workers=args.workers
+            args.count, args.bins, tol=args.tol
         )
     raise DomainError(f"unknown command {args.command!r}")
 

@@ -195,8 +195,8 @@ def mod_twopi(ph, pl):
         rh, rl = dd_add(ph, pl, -mh, -me)
         r = rh + rl
         if r < 0.0:
-            r += TWOPI
-        elif r >= TWOPI:
+            r += TWOPI  # may round up to exactly TWOPI: checked next
+        if r >= TWOPI:
             r -= TWOPI
         return r
     q = np.floor(ph / TWOPI_HI + 0.5)

@@ -160,29 +160,26 @@ def _remainder_c(p: float) -> float:
     return math.cos(TWOPI * (p * p - p - 0.0625)) / math.cos(TWOPI * p)
 
 
-def rs_remainder(t: float, denominator: str = "np") -> float:
-    """First-order Riemann-Siegel remainder.
-
-    The printed form divides by sqrt(n_p); the standard-literature
-    (t/2pi)**(-1/4) is available as denominator="t".
-    """
-    frame = frame_of(t)
+def _signed_remainder(frame, scale: float) -> float:
+    """(-1)**(n_p - 1) * scale * C(p), the first-order remainder at a frame."""
     sign = 1.0 if frame.n_p % 2 == 1 else -1.0
-    if denominator == "np":
-        scale = float(frame.n_p) ** -0.5
-    elif denominator == "t":
-        scale = (t / TWOPI) ** -0.25
-    else:
-        raise ValueError(f"unknown denominator variant {denominator!r}")
     return sign * scale * _remainder_c(frame.p)
+
+
+def rs_remainder(t: float) -> float:
+    """First-order Riemann-Siegel remainder in the printed form, which
+    divides by sqrt(n_p); rs_z takes the (t/2pi)**(-1/4) scale instead."""
+    frame = frame_of(t)
+    return _signed_remainder(frame, float(frame.n_p) ** -0.5)
 
 
 def rs_z(t: float) -> float:
     """Riemann-Siegel Z(t) to first order: sign changes locate
     critical-line zeros.  The remainder takes the (t/2pi)**(-1/4) scale."""
-    head = partial_sum(1, frame_of(t).n_p, Argument(0.5, t))
+    frame = frame_of(t)
+    head = partial_sum(1, frame.n_p, Argument(0.5, t))
     head *= cmath.exp(1j * _theta_mod_unchecked(t))
-    return 2.0 * head.real + rs_remainder(t, denominator="t")
+    return 2.0 * head.real + _signed_remainder(frame, (t / TWOPI) ** -0.25)
 
 
 def eval_symmetric(s: Argument) -> EvalResult:

@@ -235,8 +235,9 @@ def export_zeros(
     workers: int = 1,
     t_lo: float = 10.0,
 ) -> Iterator[Tuple]:
-    """Located zeros in [t_lo, t_hi] with Gram offsets and oracle residuals."""
-    records = _collect_zeros(t_hi, count, tol, workers, t_lo)
+    """Located zeros in [t_lo, t_hi] with Gram offsets and oracle residuals.
+    `workers` is accepted and ignored."""
+    records = _collect_zeros(t_hi, count, tol, t_lo)
     return _zero_rows(records)
 
 
@@ -244,7 +245,6 @@ def _collect_zeros(
     t_hi: Optional[float],
     count: Optional[int],
     tol: float,
-    workers: int = 1,
     t_lo: float = 10.0,
 ) -> List[ZeroRecord]:
     if t_hi is None and count is None:
@@ -255,7 +255,7 @@ def _collect_zeros(
         # one zero per Gram interval on average; pad a little
         first = int(zero_count_main(max(t_lo, 10.0)))
         t_hi = gram_point(first + count + max(5, count // 20)).t
-    records = find_zeros(t_lo, t_hi, tol=tol, workers=workers)
+    records = find_zeros(t_lo, t_hi, tol=tol)
     if count is not None:
         records = records[:count]
     return records
@@ -264,10 +264,11 @@ def _collect_zeros(
 def export_histogram(
     count: int, bins: int, tol: float = 1e-8, workers: int = 1
 ) -> Iterator[Tuple]:
-    """Gram-offset histogram of the first `count` zeros."""
+    """Gram-offset histogram of the first `count` zeros; `workers` is
+    accepted and ignored."""
     if bins < 1:
         raise DomainError("bins must be >= 1")
-    records = _collect_zeros(None, count, tol, workers)
+    records = _collect_zeros(None, count, tol)
     offsets = gram_offsets(records)
     centers, counts = histogram(offsets, bins)
     for c, k in zip(centers, counts):

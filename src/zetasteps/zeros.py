@@ -9,10 +9,9 @@ tolerance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +23,7 @@ _GRAM_TOL = 1e-10
 _GRAM_MAX_ITER = 50
 _T_SCAN_FLOOR = 10.0
 _TOL_FLOOR = 1e-10
+_SUBDIVISIONS_PER_GRAM = 8  # scan grid steps per Gram interval
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,6 @@ def _brackets_on_grid(grid: np.ndarray, values: Sequence[float]):
 def scan_z_sign_changes(
     t_lo: float,
     t_hi: float,
-    subdivisions_per_gram: int = 8,
     z: Callable[[float], float] = rs_z,
 ) -> List[Tuple[float, float]]:
     """Sign-change brackets of Z on a per-Gram-interval grid.
@@ -110,8 +109,6 @@ def scan_z_sign_changes(
     """
     if t_lo < TWOPI:
         raise DomainError(f"scan needs t_lo >= 2*pi, got {t_lo}")
-    if subdivisions_per_gram < 4:
-        raise DomainError("subdivisions_per_gram must be >= 4")
     if t_hi <= t_lo:
         return []
     edges = [t_lo]
@@ -124,12 +121,12 @@ def scan_z_sign_changes(
     found = 0
     base = zero_count_main(max(t_lo, _T_SCAN_FLOOR + 5.0))
     for lo, hi in zip(edges[:-1], edges[1:]):
-        grid = np.linspace(lo, hi, subdivisions_per_gram + 1)
+        grid = np.linspace(lo, hi, _SUBDIVISIONS_PER_GRAM + 1)
         vals = [z(float(x)) for x in grid]
         got = _brackets_on_grid(grid, vals)
         expected = (zero_count_main(hi) - base) if hi > 10.5 else 0.0
         if (found + len(got)) - expected <= -2.0:
-            grid = np.linspace(lo, hi, 4 * subdivisions_per_gram + 1)
+            grid = np.linspace(lo, hi, 4 * _SUBDIVISIONS_PER_GRAM + 1)
             vals = [z(float(x)) for x in grid]
             got = _brackets_on_grid(grid, vals)
         brackets.extend(got)
@@ -223,16 +220,14 @@ def find_zeros(
     t_lo: float,
     t_hi: float,
     tol: float = 1e-8,
-    subdivisions_per_gram: int = 8,
     certify: bool = False,
     workers: int = 1,
-    ordinal_offset: Optional[int] = None,
 ) -> List[ZeroRecord]:
     """Scan with rs_z, then refine each bracket once on the oracle.
 
-    Chunks are Gram-aligned and merged by ordinate, so the result does not
-    depend on the worker count.  Each record carries the oracle |Z| at its
-    ordinate as `residual`; certify=True checks it is < 1e-5.
+    Everything runs in the calling thread; `workers` is accepted and
+    ignored.  Each record carries the oracle |Z| at its ordinate as
+    `residual`; certify=True checks it is < 1e-5.
 
     Known defect: for t_lo > 14 the first ordinal is
     round(zero_count_main(t_lo)), which ignores S(t) and can be one too
@@ -242,26 +237,13 @@ def find_zeros(
     if tol < _TOL_FLOOR:
         raise DomainError(f"tol must be >= {_TOL_FLOOR:g}")
     t_lo = max(t_lo, _T_SCAN_FLOOR)
-    if ordinal_offset is None:
-        ordinal_offset = (
-            0 if t_lo <= 14.0 else max(0, int(round(zero_count_main(t_lo))))
-        )
-
-    def pmap(fn, items):
-        if workers <= 1:  # inline: a pool thread's own malloc arena adds ~3 MB RSS
-            return list(map(fn, items))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-
-    chunks = _gram_aligned_chunks(t_lo, t_hi, workers)
-    per_chunk = pmap(lambda c: scan_z_sign_changes(*c, subdivisions_per_gram), chunks)
-    brackets = sorted({b for chunk in per_chunk for b in chunk})
-    refined = pmap(lambda b: _refine_on_oracle(b, tol), brackets)
+    offset = 0 if t_lo <= 14.0 else max(0, int(round(zero_count_main(t_lo))))
+    refined = [_refine_on_oracle(b, tol) for b in scan_z_sign_changes(t_lo, t_hi)]
     records: List[ZeroRecord] = []
     for rec in sorted(refined, key=lambda r: r.t):
         if records and rec.t - records[-1].t <= 10.0 * tol:
             continue
-        records.append(replace(rec, ordinal=ordinal_offset + len(records) + 1))
+        records.append(replace(rec, ordinal=offset + len(records) + 1))
     if certify:
         for rec in records:
             if rec.residual >= 1e-5:
@@ -269,22 +251,6 @@ def find_zeros(
                     f"zero at t={rec.t} failed certification (|zeta| = {rec.residual:g})"
                 )
     return records
-
-
-def _gram_aligned_chunks(t_lo: float, t_hi: float, workers: int):
-    if workers <= 1 or t_hi - t_lo < 50.0:
-        return [(t_lo, t_hi)]
-    n_chunks = min(workers * 4, max(2, int((t_hi - t_lo) / 25.0)))
-    lo_idx = _gram_index_below(t_lo)
-    hi_idx = _gram_index_below(t_hi)
-    if hi_idx - lo_idx < 2 * n_chunks:
-        return [(t_lo, t_hi)]
-    cuts = [t_lo]
-    for k in range(1, n_chunks):
-        idx = lo_idx + (hi_idx - lo_idx) * k // n_chunks
-        cuts.append(gram_point(idx).t)
-    cuts.append(t_hi)
-    return [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 
 
 def gram_offsets(zeros: Sequence[ZeroRecord]) -> List[float]:

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from zetasteps import ddmath
 from zetasteps.ddmath import dd_log, log_table
+from zetasteps.steps import reduced_phase
 
 TABLE_N = 500_000
 
@@ -112,3 +114,52 @@ def test_log_table_growth_is_chunk_independent(fresh_table):
     assert np.array_equal(once[1], twice[1])
     # a table already large enough is returned as it is, not copied
     assert log_table(n)[0] is twice[0]
+
+
+def test_log_table_growth_from_threads(fresh_table):
+    # The package starts no thread, but a library caller may: every thread
+    # must see a complete table however the growths interleave.
+    sizes = [ddmath._LOG_CHUNK * k + 3 for k in (1, 3, 2, 4, 1, 3)]
+    want = log_table(max(sizes))[0]
+    ddmath._log = (np.zeros(2), np.zeros(2))
+    errors = []
+
+    def grow(n):
+        try:
+            hi, lo = log_table(n)
+            assert len(hi) > n and np.array_equal(hi[: n + 1], want[: n + 1])
+        except Exception as exc:  # recorded for the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(n,)) for n in sizes]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+
+
+def test_mod_twopi_tiny_negative_is_zero():
+    # r = -1e-20 + 2*pi rounds to 2*pi; the result must still lie in [0, 2*pi)
+    assert ddmath.mod_twopi(-1e-20, 0.0) == 0.0
+    assert reduced_phase(1e-20, 2) == 0.0
+
+
+def test_mod_twopi_scalar_matches_array_near_multiples():
+    rng = np.random.default_rng(20261018)
+    k = rng.integers(-1000, 1001, size=4000).astype(float)
+    k[:1000] = 0.0
+    offset = rng.uniform(-1e-15, 1e-15, size=k.size)
+    offset[::2] *= 10.0 ** -rng.integers(1, 30, size=offset[::2].size)
+    ph = k * ddmath.TWOPI_HI + offset
+    pl = k * ddmath.TWOPI_LO * rng.uniform(0.0, 2.0, size=k.size)
+    arr = ddmath.mod_twopi(ph, pl)
+    scal = np.array([ddmath.mod_twopi(float(h), float(l)) for h, l in zip(ph, pl)])
+    assert np.all((arr >= 0.0) & (arr < ddmath.TWOPI))
+    assert np.array_equal(scal, arr)

@@ -17,7 +17,9 @@ from zetasteps import (
     eval_symmetric,
     frame_of,
     gram_point,
+    partial_sum,
     rs_remainder,
+    rs_theta_mod,
     rs_z,
     z_reference,
     zeta_on_line,
@@ -127,12 +129,14 @@ class TestRemainder:
             assert abs(_remainder_c(quarter + 0.011) - _remainder_c(quarter + 0.009)) < 1e-2
 
     def test_variant_denominators(self):
+        # rs_remainder divides by sqrt(n_p); rs_z's remainder is the same
+        # signed C(p) scaled by (t/2pi)**(-1/4) instead.
         t = TWOPI * 123456.789
         fr = frame_of(t)
-        a = rs_remainder(t)
-        b = rs_remainder(t, denominator="t")
-        ratio = (float(fr.n_p) ** -0.5) / ((t / TWOPI) ** -0.25)
-        assert a == pytest.approx(b * ratio, rel=1e-12)
+        head = partial_sum(1, fr.n_p, Argument(0.5, t)) * cmath.exp(1j * rs_theta_mod(t))
+        in_rs_z = rs_z(t) - 2.0 * head.real
+        want = rs_remainder(t) * math.sqrt(fr.n_p) * (t / TWOPI) ** -0.25
+        assert abs(in_rs_z - want) < 1e-12
 
 
 class TestZ:

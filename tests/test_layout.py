@@ -37,6 +37,16 @@ def test_no_module_imports_decimal():
     assert users == []
 
 
+def test_no_module_imports_threads_or_processes():
+    # The GIL-bound zero-search pool was slower than one thread on 2 CPUs:
+    # `zeros --t-lo 10 --t-hi 1000` took 1.95-2.23 s with 2 threads against
+    # 1.70-1.83 s with one, for byte-identical output.
+    banned = {"concurrent", "threading", "multiprocessing"}
+    files = sorted(SRC.glob("*.py"))
+    users = [f.name for f in files if banned & set(imported_modules(f))]
+    assert users == []
+
+
 def test_log_table_named_only_by_ddmath_and_steps():
     # steps.phase_blocks is the one reader of the dd log table.
     files = sorted(SRC.glob("*.py"))

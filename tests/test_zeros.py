@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import types
 
 import mpmath
@@ -23,6 +24,7 @@ from zetasteps import (
     scan_z_sign_changes,
     zero_count_main,
 )
+from zetasteps.cli import main
 from zetasteps.export import export_zeros
 from zetasteps.zeros import ZeroRecord
 
@@ -134,6 +136,20 @@ class TestPipeline:
         a = find_zeros(10.0, 80.0, workers=1)
         b = find_zeros(10.0, 80.0, workers=4)
         assert [(r.ordinal, r.t) for r in a] == [(r.ordinal, r.t) for r in b]
+
+    def test_zero_search_starts_no_thread(self, monkeypatch, capsys):
+        argv = ["histogram", "--count", "20", "--workers"]
+        want_zeros = find_zeros(10.0, 80.0, workers=1)
+        assert main(argv + ["1"]) == 0
+        want_rows = capsys.readouterr().out
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert find_zeros(10.0, 80.0, workers=4) == want_zeros
+        assert main(argv + ["4"]) == 0
+        assert capsys.readouterr().out == want_rows
 
     def test_restarted_scan_ordinals(self):
         # scanning a later window yields globally consistent ordinals

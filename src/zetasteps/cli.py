@@ -16,6 +16,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .errors import DomainError, ResourceGuardError
 from .evaluators import eval_em_paper, eval_reference, eval_symmetric, zeta_on_line
 from .steps import Argument
+from .symmetry import frame_of
 from . import export as ex
 
 _ALGORITHMS = ("em_paper", "symmetric", "rs_line", "reference")
@@ -103,8 +104,9 @@ def _eval_rows(args) -> Tuple[Sequence[str], Iterator[Tuple]]:
         if args.sigma != 0.5:
             raise DomainError("rs_line is defined on sigma = 1/2 only")
         z = zeta_on_line(args.t)
+        n_p = frame_of(args.t).n_p  # the main-sum length
         return EVAL_HEADER, iter(
-            [(args.sigma, args.t, "rs_line", z.real, z.imag, 0, "")]
+            [(args.sigma, args.t, "rs_line", z.real, z.imag, n_p, "")]
         )
     else:
         res = eval_reference(s, target_abs_error=args.tol)

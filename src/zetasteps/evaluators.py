@@ -3,8 +3,8 @@
 * eval_em_paper   - Dirichlet sum to [t/pi] with the half-step and scroll
                     center correction (the point conjugate to the origin).
 * eval_symmetric  - P(s) + Q(s) * P(1-s) via the pendant center.
-* rs_z            - the real Riemann-Siegel line function with the
-                    first-order remainder.
+* rs_z            - the real Riemann-Siegel line function with Gabcke's
+                    C0-C4 remainder, on a float or an ndarray of ordinates.
 * eval_reference  - an adaptive Euler-Maclaurin evaluation with explicit
                     Bernoulli terms; the ground-truth oracle of the build.
 """
@@ -13,17 +13,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import FrozenSet
 
+import numpy as np
+
+from .ddmath import mod_twopi
 from .errors import DomainError, ToleranceError
-from .steps import Argument, partial_sum, reduced_phase, step_term
+from .steps import _BLOCK, Argument, partial_sum, phase_blocks, reduced_phase, step_term
 from .symmetry import (
     TWOPI,
     big_q,
     center_point,
     frame_of,
+    sqrt_t_over_twopi,
+    _theta_dd,
     _theta_mod_unchecked,
 )
 
@@ -37,6 +42,7 @@ class EvalResult:
     algorithm: str
     terms_used: int
     flags: FrozenSet[str] = field(default_factory=frozenset)
+    error_estimate: float = math.nan  # bound on |value - zeta(s)|, NaN if none
 
 
 _BERNOULLI = {
@@ -94,6 +100,7 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
     Truncation point and Bernoulli depth are chosen adaptively to meet
     target_abs_error (contractually reachable for |t| <= 1e4 down to
     1e-10; raises ToleranceError with the best achieved error otherwise).
+    The result's error_estimate is the tail bound that met the target.
     """
     if target_abs_error < 1e-12:
         raise DomainError("target_abs_error below the 1e-12 floor")
@@ -103,7 +110,7 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
         raise DomainError("s = 1 is the pole of zeta")
     if s.t < 0.0:
         res = eval_reference(Argument(s.sigma, -s.t), target_abs_error)
-        return EvalResult(res.value.conjugate(), res.algorithm, res.terms_used, res.flags)
+        return replace(res, value=res.value.conjugate())
     sc = s.complex
     n = max(32, int(math.ceil(0.7 * (abs(s.t) + abs(s.sigma)))))
     best_err = math.inf
@@ -118,7 +125,7 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
             best_err = err
             terms = (n - 1) + used
         if best_err <= target_abs_error:
-            return EvalResult(best, "reference", terms, frozenset())
+            return EvalResult(best, "reference", terms, frozenset(), best_err)
         n *= 2
     raise ToleranceError(
         f"eval_reference could not reach {target_abs_error:g} "
@@ -132,7 +139,7 @@ def eval_em_paper(s: Argument) -> EvalResult:
     the scroll-center correction (sigma + i*dt)/(4 N**(s+1))."""
     if s.t < 0.0:
         res = eval_em_paper(Argument(s.sigma, -s.t))
-        return EvalResult(res.value.conjugate(), res.algorithm, res.terms_used, res.flags)
+        return replace(res, value=res.value.conjugate())
     if not (0.0 < s.sigma < 1.5):
         raise DomainError(f"eval_em_paper needs sigma in (0, 1.5), got {s.sigma}")
     if s.t < 50.0:
@@ -146,40 +153,126 @@ def eval_em_paper(s: Argument) -> EvalResult:
     return EvalResult(value, "em_paper", n, frozenset())
 
 
+# Gabcke's C_k(p), k = 0..4, of the Riemann-Siegel remainder (Gabcke,
+# thesis, Goettingen 1979; Edwards, Riemann's Zeta Function, 7.4) as Taylor
+# polynomials in z = p - 1/2.  C0 = Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p)
+# is entire and even in z; C1..C4 combine its derivatives, so C2, C4 are even
+# and C1, C3 odd.  Row k holds the coefficients of z^(2j) (even) or z^(2j+1)
+# (odd), j = 0, 1, ..., from the mpmath Taylor series of Psi at 80 digits, up
+# to the last term above 1e-19 on |z| <= 1/2.  tests/test_evaluators.py
+# regenerates them with mpmath.
+_GABCKE = (
+    (  # C0
+        0.3826834323650898, 1.7489618723100817, 2.118025207685496, -0.8707216670511481,
+        -3.4733112243465167, -1.6626947308999325, 1.216731288919232, 1.3014304161007977,
+        0.03051102182736167, -0.3755803051545095, -0.1085784416564066,
+        0.051832902999549624, 0.029999480619902277, -0.0022759396706125644,
+        -0.004382647416580339, -0.0004064230183729847, 0.0004006097785422114,
+        8.971057991388841e-05, -2.3025650027239108e-05, -9.380006601906792e-06,
+        6.323514947609108e-07, 6.551022819231502e-07,
+    ),
+    (  # C1
+        -0.053650205256750697, 0.11027818741081483, 1.2317200154315227,
+        1.2634964862799458, -1.695108997559503, -2.9998711967650102,
+        -0.10819944959899208, 1.9407662946212714, 0.7838423561500687,
+        -0.5054829667900366, -0.38450723496057976, 0.03747264646531532,
+        0.09092026610973176, 0.01044923755006451, -0.012582979651583417,
+        -0.003399503721151274, 0.0010410950537714891, 0.0005010949051118486,
+        -3.956359669003182e-05, -4.7624592453571896e-05, -1.8539355338085133e-06,
+        3.1936918080068973e-06,
+    ),
+    (  # C2
+        0.005188542830293168, 0.0012378633552253898, -0.18137505725166997,
+        0.14291492748532125, 1.3303391766687565, 0.3522472353403734, -2.421001595891951,
+        -1.6760787022538108, 1.3689416723328371, 1.5539019430222982,
+        -0.1722164273472998, -0.6359068055045431, -0.09911649873041208,
+        0.14033480067387008, 0.04782352019827292, -0.017356040641479782,
+        -0.010225012534028593, 0.0009274149159794888, 0.0013572194372373386,
+        6.41369012029388e-05, -0.0001230080569819663, -1.83135074047892e-05,
+        7.821628604322627e-06,
+    ),
+    (  # C3
+        -0.0026794321814389136, 0.02995372109103515, -0.042570172541828696,
+        -0.28997965779803886, 0.4888831999235446, 1.230855876395746,
+        -0.8297560708527408, -2.249763536666567, 0.07845139961005472,
+        1.7467492800868893, 0.45968080979749937, -0.6619353471039775,
+        -0.31590441036173633, 0.12844792545207495, 0.10073382716626152,
+        -0.009530183848825268, -0.019264421687514088, -0.001246463715876929,
+        0.0024243969641103086, 0.000437647697741857, -0.00020714032687001792,
+        -6.274344504186516e-05, 1.157534381459567e-05,
+    ),
+    (  # C4
+        0.00046483389361763383, -0.004022642946136188, 0.003847177051796127,
+        0.06581175135809486, -0.19604124343694448, -0.20854053686358853,
+        0.9507754185141751, 0.5341535312914873, -1.67634944117634, -1.076747157875129,
+        1.235339301656597, 1.0257825340057276, -0.40124095793988546,
+        -0.5036663995108304, 0.03573487795502745, 0.14431763086785418,
+        0.01509152741790347, -0.026098874779194363, -0.006126628379519262,
+        0.003077503129870841, 0.0011562478934088753, -0.00022775966758472127,
+        -0.00014189637118181445, 7.4648603079559195e-06,
+    ),
+)
+
+
+# Column k holds C_k's coefficients of w**j = z**(2j) in row j, zero-padded.
+_GABCKE_W = np.array([c + (0.0,) * (24 - len(c)) for c in _GABCKE]).T
+
+
+def _gabcke(z, v):
+    """sum_k C_k(p) v**k, k = 0..4, at z = p - 1/2 (floats or ndarrays);
+    one Horner pass in w = z*z serves all five C_k, and v = 0 gives C0."""
+    w = np.expand_dims(z * z, -1)
+    acc = _GABCKE_W[-1]
+    for row in _GABCKE_W[-2::-1]:
+        acc = acc * w + row
+    k = np.arange(5)
+    c = np.where(k % 2 == 1, acc * np.expand_dims(z, -1), acc)
+    return (c * np.expand_dims(v, -1) ** k).sum(-1)
+
+
 def _remainder_c(p: float) -> float:
-    """C(p) = cos(2pi(p^2 - p - 1/16)) / cos(2pi p), with the removable
-    singularities at p = 1/4, 3/4 handled by series."""
-    for quarter, slope in ((0.25, -1.0), (0.75, 1.0)):
-        e = p - quarter
-        if abs(e) < 0.01:
-            u = math.pi * e * (2.0 * e + slope)
-            v = TWOPI * e
-            su = 1.0 - u * u / 6.0 + u ** 4 / 120.0
-            sv = 1.0 - v * v / 6.0 + v ** 4 / 120.0
-            return 0.5 * (2.0 * e + slope) * slope * su / sv
-    return math.cos(TWOPI * (p * p - p - 0.0625)) / math.cos(TWOPI * p)
-
-
-def _signed_remainder(frame, scale: float) -> float:
-    """(-1)**(n_p - 1) * scale * C(p), the first-order remainder at a frame."""
-    sign = 1.0 if frame.n_p % 2 == 1 else -1.0
-    return sign * scale * _remainder_c(frame.p)
+    """C0(p) = cos(2pi(p^2 - p - 1/16)) / cos(2pi p); its polynomial has no
+    special case at the removable singularities p = 1/4, 3/4."""
+    return float(_gabcke(p - 0.5, 0.0))
 
 
 def rs_remainder(t: float) -> float:
-    """First-order Riemann-Siegel remainder in the printed form, which
-    divides by sqrt(n_p); rs_z takes the (t/2pi)**(-1/4) scale instead."""
+    """First-order Riemann-Siegel remainder (-1)**(n_p - 1) * C0(p) in the
+    printed form, which divides by sqrt(n_p); rs_z takes the full C0-C4
+    series with the (t/2pi)**(-1/4) scale instead."""
     frame = frame_of(t)
-    return _signed_remainder(frame, float(frame.n_p) ** -0.5)
+    sign = 1.0 if frame.n_p % 2 == 1 else -1.0
+    return sign * float(frame.n_p) ** -0.5 * _remainder_c(frame.p)
 
 
-def rs_z(t: float) -> float:
-    """Riemann-Siegel Z(t) to first order: sign changes locate
-    critical-line zeros.  The remainder takes the (t/2pi)**(-1/4) scale."""
-    frame = frame_of(t)
-    head = partial_sum(1, frame.n_p, Argument(0.5, t))
-    head *= cmath.exp(1j * _theta_mod_unchecked(t))
-    return 2.0 * head.real + _signed_remainder(frame, (t / TWOPI) ** -0.25)
+def rs_z(t):
+    """Riemann-Siegel Z(t) for a float or an ndarray of ordinates t >= 2pi.
+
+    2 * sum_{n <= n_p} n**(-1/2) cos(theta - t log n) plus the remainder
+    (-1)**(n_p - 1) u**(-1/4) * sum_k C_k(p) u**(-k/2), u = t/2pi, k = 0..4.
+    Worst errors against mpmath.siegelz on 600 seeded t: 3.5e-6 below
+    t = 50, 2.4e-7 below 100, 3.5e-8 below 200, 4.5e-9 below 1e3, 6.0e-11
+    below 1e4 and 9.6e-14 up to 1e6.  A float is evaluated as
+    a one-entry array, so it gets the same bits as in a batch: each row's
+    main sum is a running sum read off at n_p, whatever the batch's longest.
+    """
+    ts = np.ravel(np.asarray(t, dtype=float))
+    if ts.size and ts.min() < TWOPI:
+        raise DomainError(f"rs_z needs t >= 2*pi, got {ts.min()}")
+    r = sqrt_t_over_twopi(ts)
+    n_p = np.floor(r).astype(np.intp)
+    theta = mod_twopi(*_theta_dd(ts))
+    head = np.zeros(ts.size)
+    rows = max(1, _BLOCK // int(n_p.max(initial=1)))  # rows x n_max <= _BLOCK
+    for i in range(0, ts.size, rows):
+        part = slice(i, i + rows)
+        for lo, hi, phases in phase_blocks(ts[part], 1, int(n_p[part].max())):
+            terms = np.arange(lo, hi + 1.0) ** -0.5 * np.cos(theta[part, None] + phases)
+            last = np.minimum(n_p[part] - lo, hi - lo)
+            head[part] += np.cumsum(terms, axis=1)[np.arange(len(last)), last]
+    sign = np.where(n_p % 2 == 1, 1.0, -1.0)
+    out = 2.0 * head + sign * _gabcke(r - n_p - 0.5, 1.0 / r) / np.sqrt(r)
+    return out.reshape(t.shape) if isinstance(t, np.ndarray) else float(out[0])
 
 
 def eval_symmetric(s: Argument) -> EvalResult:
@@ -190,7 +283,7 @@ def eval_symmetric(s: Argument) -> EvalResult:
     """
     if s.t < 0.0:
         res = eval_symmetric(Argument(s.sigma, -s.t))
-        return EvalResult(res.value.conjugate(), res.algorithm, res.terms_used, res.flags)
+        return replace(res, value=res.value.conjugate())
     if not (0.0 < s.sigma < 1.0):
         raise DomainError(f"eval_symmetric needs sigma in (0, 1), got {s.sigma}")
     if s.t < TWOPI:

@@ -65,20 +65,25 @@ def step_term(n: int, s: Argument) -> complex:
     return complex(length * math.cos(theta), im)
 
 
-def phase_blocks(t: float, a: int, b: int, lookahead: int = 0):
+def phase_blocks(t, a: int, b: int, lookahead: int = 0):
     """Reduced phases (-t * log n) mod 2*pi over [a, b], block by block.
 
-    Yields (lo, hi, phases) with phases[i] the phase of n = lo + i for
+    Yields (lo, hi, phases) with phases[..., i] the phase of n = lo + i for
     lo <= n <= hi + lookahead; the lookahead entries let a caller take
-    forward differences across the block edge.  The dd log table is sized
-    once, to b + lookahead, before the first block.
+    forward differences across the block edge.  For an ndarray t, phases
+    has one row per ordinate and a block holds at most _BLOCK entries (at
+    least one column).  The dd log table is sized once, to b + lookahead,
+    before the first block.
     """
-    if t != 0.0:
+    width, zero = _BLOCK, not isinstance(t, np.ndarray) and t == 0.0
+    if isinstance(t, np.ndarray):
+        t, width = t.reshape(-1, 1), max(1, _BLOCK // t.size)
+    if not zero:
         log_hi, log_lo = log_table(b + lookahead)
-    for lo in range(a, b + 1, _BLOCK):
-        hi = min(b, lo + _BLOCK - 1)
+    for lo in range(a, b + 1, width):
+        hi = min(b, lo + width - 1)
         stop = hi + 1 + lookahead
-        if t == 0.0:
+        if zero:
             yield lo, hi, np.zeros(stop - lo)
         else:
             yield lo, hi, phase_from_dd_log(t, log_hi[lo:stop], log_lo[lo:stop])

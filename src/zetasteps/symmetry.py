@@ -13,12 +13,15 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .ddmath import (
     LOG_TWOPI_E_HI,
     LOG_TWOPI_E_LO,
     PI8_HI,
     PI8_LO,
     TWOPI,
+    _dd_log,
     dd_add,
     dd_div,
     dd_log,
@@ -78,21 +81,26 @@ class PredictedSum(NamedTuple):
     accuracy_unguaranteed: bool
 
 
-def _theta_dd(t: float):
+def _theta_dd(t):
     """theta_RS(t) = (t/2)(log t - log 2*pi*e) - pi/8 + 1/48t + 7/5760t^3
-    as a dd pair, for t >= 2*pi.
+    as a dd pair, for a float or an ndarray of ordinates t >= 2*pi.
 
     log t = log(ref) + x + (log1p(x) - x), ref = round(t), x = (t - ref)/ref:
-    t - ref is exact (Sterbenz), log(ref) is `dd_log` of an integer, which
-    its cache serves again for every t that rounds to ref (dd_log(t) itself
-    would miss the cache on each new t), and the plain-double tail costs at
-    most (t/2)*ulp(x) < 1e-16 rad.  The tail and the small series terms ride
-    in lo words (rounding < 1e-18 rad).
+    t - ref is exact (Sterbenz), log(ref) is the dd log of an integer, which
+    the `dd_log` cache serves again for every float t that rounds to ref
+    (dd_log(t) itself would miss the cache on each new t), and the
+    plain-double tail costs at most (t/2)*ulp(x) < 1e-16 rad.  The tail and
+    the small series terms ride in lo words (rounding < 1e-18 rad).
     """
-    ref = float(max(round(t), 1))
+    if isinstance(t, np.ndarray):
+        ref = np.maximum(np.rint(t), 1.0)
+        log_ref, log1p = _dd_log(ref), np.log1p
+    else:
+        ref = float(max(round(t), 1))
+        log_ref, log1p = dd_log(ref), math.log1p
     xh, xl = dd_div(t - ref, ref)
-    h, l = dd_add(*dd_log(ref), -LOG_TWOPI_E_HI, -LOG_TWOPI_E_LO)
-    h, l = dd_add(h, l, xh, xl + (math.log1p(xh) - xh))
+    h, l = dd_add(*log_ref, -LOG_TWOPI_E_HI, -LOG_TWOPI_E_LO)
+    h, l = dd_add(h, l, xh, xl + (log1p(xh) - xh))
     h, l = dd_mul_double(h, l, 0.5 * t)
     small = 1.0 / (48.0 * t) + 7.0 / (5760.0 * t * t * t)
     return dd_add(h, l, -PI8_HI, small - PI8_LO)
@@ -117,12 +125,18 @@ def _theta_mod_unchecked(t: float) -> float:
     return mod_twopi(*_theta_dd(t))
 
 
-def sqrt_t_over_twopi(t: float) -> float:
-    """sqrt(t/2pi), snapped to an integer when within a few ulps.
+def sqrt_t_over_twopi(t):
+    """sqrt(t/2pi), snapped to an integer when within a few ulps; t is a
+    float or an ndarray.
 
     The snap keeps n_p/p stable at arguments constructed as 2*pi*k**2,
     where bare floating point could land infinitesimally below the integer.
     """
+    if isinstance(t, np.ndarray):
+        r = np.sqrt(t / TWOPI)
+        rn = np.rint(r)
+        snap = (rn >= 1.0) & (np.abs(r - rn) <= _SNAP * np.maximum(r, 1.0))
+        return np.where(snap, rn, r)
     r = math.sqrt(t / TWOPI)
     rn = round(r)
     if rn >= 1 and abs(r - rn) <= _SNAP * max(r, 1.0):

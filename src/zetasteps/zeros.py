@@ -1,8 +1,13 @@
 """Gram points, Z sign-change scanning, zero refinement and statistics.
 
-The scan walks Gram intervals with the fast first-order rs_z; each bracket
-is then refined once, by an Illinois solve on the reference oracle, so every
-reported ordinate is a true zero of zeta(1/2 + it) to the requested
+The scan evaluates the Riemann-Siegel rs_z (main sum plus Gabcke's C0-C4
+remainder) in one batch on a per-Gram-interval grid.  All brackets are then
+refined together by a lockstep Illinois solve on rs_z, and the reference
+oracle certifies each estimate c by a sign change across [c - tol/2,
+c + tol/2].  Where it does not, one secant step on the two oracle values
+and a second check follow, and only then the fallback: widen the scan
+bracket until the oracle changes sign across it and solve on the oracle.
+Every reported ordinate is a true zero of zeta(1/2 + it) to the requested
 tolerance.
 """
 
@@ -87,25 +92,26 @@ def _gram_index_below(t: float) -> int:
     return n
 
 
-def _brackets_on_grid(grid: np.ndarray, values: Sequence[float]):
-    out = []
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            out.append((float(grid[i]), float(grid[i])))
-        elif values[i] * values[i + 1] < 0.0:
-            out.append((float(grid[i]), float(grid[i + 1])))
-    return out
+def _brackets_on_grid(grid: np.ndarray, values: np.ndarray):
+    """(lo, hi) per exact zero (lo = hi) or sign change of values on grid."""
+    v0, v1 = values[:-1], values[1:]
+    zero = v0 == 0.0
+    idx = np.flatnonzero(zero | (v0 * v1 < 0.0))
+    his = np.where(zero[idx], grid[idx], grid[idx + 1])
+    return list(zip(grid[idx].tolist(), his.tolist()))
 
 
 def scan_z_sign_changes(
     t_lo: float,
     t_hi: float,
-    z: Callable[[float], float] = rs_z,
+    z: Callable[[np.ndarray], np.ndarray] = rs_z,
 ) -> List[Tuple[float, float]]:
     """Sign-change brackets of Z on a per-Gram-interval grid.
 
-    A Gram interval whose running count falls >= 2 behind the smooth
-    estimate is re-scanned at 4x density (close pairs, Gram-law breaks).
+    z maps an ndarray of ordinates to an ndarray of values; it is called
+    once on the whole grid.  A Gram interval whose running count falls >= 2
+    behind the smooth estimate is re-scanned at 4x density (close pairs,
+    Gram-law breaks), one small call of z each.
     """
     if t_lo < TWOPI:
         raise DomainError(f"scan needs t_lo >= 2*pi, got {t_lo}")
@@ -117,18 +123,20 @@ def scan_z_sign_changes(
         edges.append(gram_point(n).t)
         n += 1
     edges.append(t_hi)
+    k = _SUBDIVISIONS_PER_GRAM
+    grid = np.linspace(edges[:-1], edges[1:], k + 1, axis=1)
+    grid = np.append(grid[:, :-1], t_hi)  # neighbours share their edge
+    coarse = _brackets_on_grid(grid, z(grid))
+    cuts = np.searchsorted([lo for lo, _ in coarse], edges).tolist()
     brackets: List[Tuple[float, float]] = []
     found = 0
     base = zero_count_main(max(t_lo, _T_SCAN_FLOOR + 5.0))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        grid = np.linspace(lo, hi, _SUBDIVISIONS_PER_GRAM + 1)
-        vals = [z(float(x)) for x in grid]
-        got = _brackets_on_grid(grid, vals)
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        got = coarse[cuts[i]:cuts[i + 1]]
         expected = (zero_count_main(hi) - base) if hi > 10.5 else 0.0
         if (found + len(got)) - expected <= -2.0:
-            grid = np.linspace(lo, hi, 4 * _SUBDIVISIONS_PER_GRAM + 1)
-            vals = [z(float(x)) for x in grid]
-            got = _brackets_on_grid(grid, vals)
+            fine = np.linspace(lo, hi, 4 * k + 1)
+            got = _brackets_on_grid(fine, z(fine))
         brackets.extend(got)
         found += len(got)
     return brackets
@@ -153,40 +161,51 @@ def refine_zero(
         raise DomainError("bracket endpoints out of order")
     if hi - lo <= tol:
         return _make_record(ordinal, 0.5 * (lo + hi), (lo, hi))
-    return _illinois(z, lo, hi, z(lo), z(hi), tol, ordinal)
+    return _solve_one(z, lo, hi, z(lo), z(hi), tol, ordinal)
 
 
-def _illinois(z, lo, hi, f_lo, f_hi, tol, ordinal=0) -> ZeroRecord:
-    """Illinois (modified regula falsi) solve on [lo, hi] from the known
-    endpoint values f_lo = z(lo), f_hi = z(hi) (Dowell & Jarratt, BIT 11,
-    1971): an endpoint kept twice in a row has its weight halved, so the
-    bracket closes from both sides superlinearly."""
-    if f_lo * f_hi > 0.0:
+def _solve_one(z, lo, hi, f_lo, f_hi, tol, ordinal=0) -> ZeroRecord:
+    """_illinois on one bracket of a scalar z."""
+    x, f = _illinois(np.vectorize(z, otypes=[float]), [lo, hi], [f_lo, f_hi], tol)
+    return _record(x[:, 0].tolist(), f[:, 0].tolist(), ordinal)
+
+
+def _illinois(z, x, f, tol):
+    """Illinois (modified regula falsi) solve on every bracket
+    [x[0][i], x[1][i]] at once, from the known endpoint values f = z(x)
+    (Dowell & Jarratt, BIT 11, 1971): an endpoint kept twice in a row has
+    its weight halved, so each bracket closes from both sides
+    superlinearly.  z maps an ndarray of ordinates to an ndarray of values;
+    each pass calls it once, on the brackets still open.  Returns the final
+    ends and values as two (2, brackets) arrays."""
+    x, f = np.array(x, dtype=float).reshape(2, -1), np.array(f, dtype=float).reshape(2, -1)
+    if np.any(f[0] * f[1] > 0.0):
         raise DomainError("Z does not change sign across the bracket")
-    w_lo, w_hi = f_lo, f_hi
-    moved = 0  # -1: lo moved last, +1: hi moved last
-    while hi - lo > tol and f_lo * f_hi < 0.0:
-        t = hi - w_hi * (hi - lo) / (w_hi - w_lo)
+    w = f.copy()
+    moved = np.full(x.shape[1], -1)  # the end replaced last: 0 lo, 1 hi
+    active = (x[1] - x[0] > tol) & (f[0] * f[1] < 0.0)
+    while active.any():
+        i = np.flatnonzero(active)
+        a, b = x[:, i]
+        t = b - w[1, i] * (b - a) / (w[1, i] - w[0, i])
         # Step at least tol/2 off each end: a point that has converged from
         # one side then brackets the zero within tol in one more call.
-        t = min(max(t, lo + 0.5 * tol), hi - 0.5 * tol)
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-            if not lo < t < hi:
-                break  # lo and hi are adjacent floats
+        t = np.minimum(np.maximum(t, a + 0.5 * tol), b - 0.5 * tol)
+        t = np.where((a < t) & (t < b), t, 0.5 * (a + b))
+        active[i] = (a < t) & (t < b)  # False where a and b are adjacent floats
+        i, t = i[active[i]], t[active[i]]
         f_t = z(t)
-        if f_t * f_lo > 0.0:
-            lo, f_lo, w_lo = t, f_t, f_t
-            if moved < 0:
-                w_hi *= 0.5
-            moved = -1
-        else:
-            hi, f_hi, w_hi = t, f_t, f_t
-            if moved > 0:
-                w_lo *= 0.5
-            moved = 1
-    t, f_t = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-    return _make_record(ordinal, t, (lo, hi), abs(f_t))
+        end = np.where(f_t * f[0, i] > 0.0, 0, 1)  # the end t replaces
+        w[1 - end, i] *= np.where(moved[i] == end, 0.5, 1.0)
+        x[end, i], f[end, i], w[end, i], moved[i] = t, f_t, f_t, end
+        active[i] = (x[1, i] - x[0, i] > tol) & (f[0, i] * f[1, i] < 0.0)
+    return x, f
+
+
+def _record(x, f, ordinal=0) -> ZeroRecord:
+    """The bracket end x[k] with the smaller |f[k]|, and that |f[k]|."""
+    k = 0 if abs(f[0]) <= abs(f[1]) else 1
+    return _make_record(ordinal, x[k], tuple(x), abs(f[k]))
 
 
 def _make_record(
@@ -213,7 +232,23 @@ def _refine_on_oracle(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
         lo, hi = bracket[0] - h, bracket[1] + h
         f_lo, f_hi = z_reference(lo), z_reference(hi)
         h *= 2.0
-    return _illinois(z_reference, lo, hi, f_lo, f_hi, tol)
+    return _solve_one(z_reference, lo, hi, f_lo, f_hi, tol)
+
+
+def _certify(c: float, bracket: Tuple[float, float], tol: float) -> ZeroRecord:
+    """The record of the zero near the rs_z estimate c: an oracle sign
+    change across [c - tol/2, c + tol/2].  Where both oracle values share a
+    sign, one secant step on them moves c and the check runs once more;
+    after that the scan bracket goes to _refine_on_oracle."""
+    for _ in range(2):
+        a, b = c - 0.5 * tol, c + 0.5 * tol
+        f_a, f_b = z_reference(a), z_reference(b)
+        if f_a * f_b <= 0.0:
+            return _record((a, b), (f_a, f_b))
+        if f_a == f_b:
+            break
+        c = b - f_b * (b - a) / (f_b - f_a)
+    return _refine_on_oracle(bracket, tol)
 
 
 def find_zeros(
@@ -223,7 +258,7 @@ def find_zeros(
     certify: bool = False,
     workers: int = 1,
 ) -> List[ZeroRecord]:
-    """Scan with rs_z, then refine each bracket once on the oracle.
+    """Scan with rs_z, solve every bracket on rs_z, certify on the oracle.
 
     Everything runs in the calling thread; `workers` is accepted and
     ignored.  Each record carries the oracle |Z| at its ordinate as
@@ -238,7 +273,13 @@ def find_zeros(
         raise DomainError(f"tol must be >= {_TOL_FLOOR:g}")
     t_lo = max(t_lo, _T_SCAN_FLOOR)
     offset = 0 if t_lo <= 14.0 else max(0, int(round(zero_count_main(t_lo))))
-    refined = [_refine_on_oracle(b, tol) for b in scan_z_sign_changes(t_lo, t_hi)]
+    # All scan brackets solve on rs_z in lockstep; each estimate, the rs_z
+    # root interpolated in its final bracket, then goes to the oracle.
+    brackets = scan_z_sign_changes(t_lo, t_hi)
+    x = np.array(brackets).reshape(-1, 2).T
+    (lo, hi), (f_lo, f_hi) = _illinois(rs_z, x, rs_z(x), tol)
+    est = lo - f_lo * (hi - lo) / np.where(f_hi == f_lo, 1.0, f_hi - f_lo)
+    refined = [_certify(c, b, tol) for c, b in zip(est.tolist(), brackets)]
     records: List[ZeroRecord] = []
     for rec in sorted(refined, key=lambda r: r.t):
         if records and rec.t - records[-1].t <= 10.0 * tol:

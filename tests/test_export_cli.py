@@ -219,6 +219,12 @@ class TestCli:
     def test_guard_exit_three(self, capsys):
         assert self.run("stepplot", "--t", "100000000", "--decimation", "1") == 3
 
+    def test_rs_line_reports_main_sum_length(self, capsys):
+        assert self.run("eval", "--algorithm", "rs_line", "--t", "1000.5") == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[2] == "rs_line"
+        assert int(row[5]) == frame_of(1000.5).n_p == 12
+
     def test_rs_line_below_domain_exit_two(self, capsys):
         for t in ("-5", "0"):
             assert self.run("eval", "--algorithm", "rs_line", "--t", t) == 2
@@ -275,9 +281,11 @@ class TestCli:
                             "--workers", workers, "--out", str(path)) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_pool_race_free(self, tmp_path):
-        # a 1 us switch interval makes threads interleave inside the shared
-        # log table's growth; every run must finish with the same bytes
+    def test_cli_bytes_identical_across_processes(self, tmp_path):
+        # three fresh interpreters under a 1 us switch interval must write
+        # the same bytes; the CLI starts no thread, so this checks
+        # cross-process determinism (the log table's thread safety is
+        # test_ddmath's test_log_table_growth_from_threads)
         code = ("import sys; sys.setswitchinterval(1e-6); "
                 "from zetasteps.cli import main; sys.exit(main(sys.argv[1:]))")
         outs = [tmp_path / f"h{k}.csv" for k in range(3)]

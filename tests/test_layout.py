@@ -47,6 +47,14 @@ def test_no_module_imports_threads_or_processes():
     assert users == []
 
 
+def test_no_module_imports_mpmath():
+    # mpmath is a test dependency only: the runtime is numpy-only, and the
+    # Gabcke C0-C4 coefficients are float literals, not computed at import.
+    files = sorted(SRC.glob("*.py"))
+    users = [f.name for f in files if "mpmath" in imported_modules(f)]
+    assert users == []
+
+
 def test_log_table_named_only_by_ddmath_and_steps():
     # steps.phase_blocks is the one reader of the dd log table.
     files = sorted(SRC.glob("*.py"))

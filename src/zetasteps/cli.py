@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the exporters; `eval` runs a single point
-through a chosen algorithm.  Exit codes: 0 success, 2 domain error,
-3 resource-guard error.
+Each subcommand names its header and row function with `set_defaults`; all
+but `eval`, which runs one point through a chosen algorithm, are exporters.
+Exit codes: 0 success, 2 domain error or an unparsable or non-finite
+number, 3 resource-guard error.
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
+import math
 import sys
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import DomainError, ResourceGuardError
-from .evaluators import eval_em_paper, eval_reference, eval_symmetric, zeta_on_line
+from .evaluators import EvalResult, eval_em_paper, eval_reference, eval_symmetric, zeta_on_line
 from .steps import Argument
 from .symmetry import frame_of
 from . import export as ex
@@ -24,16 +26,60 @@ _ALGORITHMS = ("em_paper", "symmetric", "rs_line", "reference")
 EVAL_HEADER = ("sigma", "t", "algorithm", "zeta_re", "zeta_im", "terms_used", "flags")
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
+def _finite(text: str) -> float:
+    """A finite float option value; argparse exits 2 on anything else."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def _finite_list(text: str) -> List[float]:
+    values = [_finite(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one sigma")
+    return values
+
+
+def _eval_rows(args) -> Iterator[Tuple]:
+    s = Argument(args.sigma, args.t)
+    if args.algorithm == "em_paper":
+        res = eval_em_paper(s)
+    elif args.algorithm == "symmetric":
+        res = eval_symmetric(s)
+    elif args.algorithm == "rs_line":
+        if args.sigma != 0.5:
+            raise DomainError("rs_line is defined on sigma = 1/2 only")
+        # terms_used is n_p, the main-sum length
+        res = EvalResult(zeta_on_line(args.t), "rs_line", frame_of(args.t).n_p)
+    else:
+        res = eval_reference(s, target_abs_error=args.tol)
+    yield (
+        args.sigma,
+        args.t,
+        res.algorithm,
+        res.value.real,
+        res.value.imag,
+        res.terms_used,
+        "|".join(sorted(res.flags)),
+    )
+
+
+def _add_common(p: argparse.ArgumentParser, header, rows, *names: str) -> None:
+    """Options `names`, --format and --out; `rows(args)` yields rows under `header`."""
+    p.set_defaults(header=header, rows=rows)
     if "sigma" in names:
-        p.add_argument("--sigma", type=float, default=0.5)
+        p.add_argument("--sigma", type=_finite, default=0.5)
     if "t" in names:
-        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--t", type=_finite, required=True)
     if "t-range" in names:
-        p.add_argument("--t-lo", type=float, required=True)
-        p.add_argument("--t-hi", type=float, required=True)
+        p.add_argument("--t-lo", type=_finite, required=True)
+        p.add_argument("--t-hi", type=_finite, required=True)
     if "tol" in names:
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=_finite, default=1e-8)
     if "samples" in names:
         p.add_argument("--samples", type=int, default=1000)
     if "workers" in names:
@@ -53,129 +99,74 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate zeta at one point")
     p.add_argument("--algorithm", choices=_ALGORITHMS, default="reference")
-    _add_common(p, "sigma", "t", "tol")
+    _add_common(p, EVAL_HEADER, _eval_rows, "sigma", "t", "tol")
 
     p = sub.add_parser("zeros", help="locate critical-line zeros in a t range")
-    _add_common(p, "t-range", "tol", "workers")
+    _add_common(p, ex.ZEROS_HEADER, lambda a: ex.export_zeros(
+        t_hi=a.t_hi, count=a.count, tol=a.tol, t_lo=a.t_lo
+    ), "t-range", "tol", "workers")
     p.add_argument("--count", type=int, default=None,
                    help="stop after this many zeros (t-hi then optional)")
 
     p = sub.add_parser("gram", help="list Gram points in a t range")
-    _add_common(p, "t-range")
+    _add_common(p, ex.GRAM_HEADER, lambda a: ex.export_gram(a.t_lo, a.t_hi), "t-range")
 
     p = sub.add_parser("conjugate", help="conjugate-region report at one ordinate")
-    _add_common(p, "sigma", "t")
+    _add_common(p, ex.CONJUGATE_HEADER, lambda a: ex.export_conjugate(
+        Argument(a.sigma, a.t), a.n_lo, a.n_hi
+    ), "sigma", "t")
     p.add_argument("--n-lo", type=int, default=1)
     p.add_argument("--n-hi", type=int, default=None)
 
     p = sub.add_parser("stepplot", help="cumulative step rows for one ordinate")
-    _add_common(p, "sigma", "t")
+    _add_common(p, ex.STEPPLOT_HEADER, lambda a: ex.export_stepplot(
+        Argument(a.sigma, a.t), a.decimation
+    ), "sigma", "t")
     p.add_argument("--decimation", type=int, default=1)
 
     p = sub.add_parser("limacon", help="double-pendulum trajectory rows")
-    _add_common(p, "sigma", "t-range", "samples")
+    _add_common(p, ex.LIMACON_HEADER, lambda a: ex.export_limacon(
+        a.sigma, a.t_lo, a.t_hi, a.samples
+    ), "sigma", "t-range", "samples")
 
     p = sub.add_parser("surface", help="|P| and |QP(1-s)| on a strip grid")
-    _add_common(p, "t-range")
-    p.add_argument("--sigma-lo", type=float, default=0.0)
-    p.add_argument("--sigma-hi", type=float, default=1.0)
+    _add_common(p, ex.SURFACE_HEADER, lambda a: ex.export_surface(
+        a.sigma_lo, a.sigma_hi, a.t_lo, a.t_hi, a.n_sigma, a.n_t
+    ), "t-range")
+    p.add_argument("--sigma-lo", type=_finite, default=0.0)
+    p.add_argument("--sigma-hi", type=_finite, default=1.0)
     p.add_argument("--n-sigma", type=int, default=21)
     p.add_argument("--n-t", type=int, default=101)
 
     p = sub.add_parser("loops", help="zeta trajectories for several sigma")
-    _add_common(p, "t-range", "samples")
-    p.add_argument("--sigma", type=str, default="0.5",
+    _add_common(p, ex.LOOPS_HEADER, lambda a: ex.export_loops(
+        a.sigma, a.t_lo, a.t_hi, a.samples
+    ), "t-range", "samples")
+    p.add_argument("--sigma", type=_finite_list, default="0.5",
                    help="comma-separated list of sigma values")
 
     p = sub.add_parser("histogram", help="Gram-offset histogram of leading zeros")
-    _add_common(p, "tol", "workers")
+    _add_common(p, ex.HISTOGRAM_HEADER, lambda a: ex.export_histogram(
+        a.count, a.bins, tol=a.tol
+    ), "tol", "workers")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--bins", type=int, default=21)
     return ap
 
 
-def _eval_rows(args) -> Tuple[Sequence[str], Iterator[Tuple]]:
-    s = Argument(args.sigma, args.t)
-    if args.algorithm == "em_paper":
-        res = eval_em_paper(s)
-    elif args.algorithm == "symmetric":
-        res = eval_symmetric(s)
-    elif args.algorithm == "rs_line":
-        if args.sigma != 0.5:
-            raise DomainError("rs_line is defined on sigma = 1/2 only")
-        z = zeta_on_line(args.t)
-        n_p = frame_of(args.t).n_p  # the main-sum length
-        return EVAL_HEADER, iter(
-            [(args.sigma, args.t, "rs_line", z.real, z.imag, n_p, "")]
-        )
-    else:
-        res = eval_reference(s, target_abs_error=args.tol)
-    row = (
-        args.sigma,
-        args.t,
-        res.algorithm,
-        res.value.real,
-        res.value.imag,
-        res.terms_used,
-        "|".join(sorted(res.flags)),
-    )
-    return EVAL_HEADER, iter([row])
-
-
-def _dispatch(args) -> Tuple[Sequence[str], Iterator[Tuple]]:
-    if args.command == "eval":
-        return _eval_rows(args)
-    if args.command == "zeros":
-        return ex.ZEROS_HEADER, ex.export_zeros(
-            t_hi=args.t_hi, count=args.count, tol=args.tol, t_lo=args.t_lo
-        )
-    if args.command == "gram":
-        return ex.GRAM_HEADER, ex.export_gram(args.t_lo, args.t_hi)
-    if args.command == "conjugate":
-        return ex.CONJUGATE_HEADER, ex.export_conjugate(
-            Argument(args.sigma, args.t), args.n_lo, args.n_hi
-        )
-    if args.command == "stepplot":
-        return ex.STEPPLOT_HEADER, ex.export_stepplot(
-            Argument(args.sigma, args.t), args.decimation
-        )
-    if args.command == "limacon":
-        return ex.LIMACON_HEADER, ex.export_limacon(
-            args.sigma, args.t_lo, args.t_hi, args.samples
-        )
-    if args.command == "surface":
-        return ex.SURFACE_HEADER, ex.export_surface(
-            args.sigma_lo, args.sigma_hi, args.t_lo, args.t_hi,
-            args.n_sigma, args.n_t,
-        )
-    if args.command == "loops":
-        sigmas = [float(x) for x in args.sigma.split(",") if x.strip()]
-        if not sigmas:
-            raise DomainError("loops needs at least one sigma")
-        return ex.LOOPS_HEADER, ex.export_loops(
-            sigmas, args.t_lo, args.t_hi, args.samples
-        )
-    if args.command == "histogram":
-        return ex.HISTOGRAM_HEADER, ex.export_histogram(
-            args.count, args.bins, tol=args.tol
-        )
-    raise DomainError(f"unknown command {args.command!r}")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        header, rows = _dispatch(args)
         # Exporters are generators that check their arguments on the first
         # row; take it before anything is written or --out is created.
-        rows = iter(rows)
+        rows = iter(args.rows(args))
         rows = itertools.chain(list(itertools.islice(rows, 1)), rows)
         with contextlib.ExitStack() as stack:
             if args.out is None:
                 stream = sys.stdout
             else:
                 stream = stack.enter_context(open(args.out, "w"))
-            ex.write_rows(stream, header, rows, args.format)
+            ex.write_rows(stream, args.header, rows, args.format)
     except DomainError as err:
         print(f"domain error: {err}", file=sys.stderr)
         return 2

@@ -24,10 +24,9 @@ from .errors import DomainError, ToleranceError
 from .steps import _BLOCK, Argument, partial_sum, phase_blocks, reduced_phase, step_term
 from .symmetry import (
     TWOPI,
-    big_q,
-    center_point,
     frame_of,
     sqrt_t_over_twopi,
+    symmetric_parts,
     _theta_dd,
     _theta_mod_unchecked,
 )
@@ -276,10 +275,9 @@ def rs_z(t):
 
 
 def eval_symmetric(s: Argument) -> EvalResult:
-    """Symmetric form zeta(s) = P(s) + Q(s) * P(1-s).
-
-    P(1-s) is conj(P(1-sigma+it)), so only positive-ordinate centers are
-    needed; degeneracy of p is propagated as a flag.
+    """Symmetric form zeta(s) = P(s) + Q(s) * P(1-s), the sum of
+    `symmetric_parts` for sigma in (0, 1); degeneracy of p is propagated as
+    a flag.
     """
     if s.t < 0.0:
         res = eval_symmetric(Argument(s.sigma, -s.t))
@@ -289,11 +287,9 @@ def eval_symmetric(s: Argument) -> EvalResult:
     if s.t < TWOPI:
         raise DomainError(f"eval_symmetric needs t >= 2*pi, got {s.t}")
     frame = frame_of(s.t)
-    p_s = center_point(s)
-    p_mirror = center_point(Argument(1.0 - s.sigma, s.t))
-    value = p_s + big_q(s) * p_mirror.conjugate()
+    p_s, qp = symmetric_parts(s)
     flags = frozenset({FLAG_DEGENERATE_P}) if frame.degenerate_p else frozenset()
-    return EvalResult(value, "symmetric", 2 * frame.n_p, flags)
+    return EvalResult(p_s + qp, "symmetric", 2 * frame.n_p, flags)
 
 
 def zeta_on_line(t: float) -> complex:

@@ -17,17 +17,16 @@ from .errors import DomainError, ResourceGuardError
 from .evaluators import eval_em_paper
 from .steps import Argument, phase_blocks, phase_diffs
 from .symmetry import (
-    big_q,
-    center_point,
     conj_region,
     conj_sum_direct,
     conj_sum_predicted,
     frame_of,
+    symmetric_parts,
 )
 from .zeros import (
     ZeroRecord,
-    _gram_index_below,
     find_zeros,
+    gram_indices,
     gram_offsets,
     gram_point,
     histogram,
@@ -68,21 +67,15 @@ STEPPLOT_ROW_GUARD = 10_000_000
 SURFACE_GRID_GUARD = 1_000_000
 
 
-def _fmt(v) -> str:
+def _token(v, json: bool = False) -> str:
+    """One value of a row: an integer, a string (quoted in JSON) or a float
+    to 15 significant digits (NaN is null in JSON)."""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, str):
-        return v
-    return f"{float(v):.15g}"
-
-
-def _json_token(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return '"' + v + '"'
+        return '"' + v + '"' if json else v
     x = float(v)
-    if math.isnan(x):
+    if json and math.isnan(x):
         return "null"
     return f"{x:.15g}"
 
@@ -98,12 +91,12 @@ def write_rows(
     if fmt == "csv":
         stream.write(",".join(header) + "\n")
         for row in rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
+            stream.write(",".join(_token(v) for v in row) + "\n")
             count += 1
     elif fmt == "json-lines":
         for row in rows:
             body = ",".join(
-                f'"{k}":{_json_token(v)}' for k, v in zip(header, row)
+                f'"{k}":{_token(v, json=True)}' for k, v in zip(header, row)
             )
             stream.write("{" + body + "}\n")
             count += 1
@@ -149,21 +142,6 @@ def export_stepplot(s: Argument, decimation: int = 1) -> Iterator[Tuple]:
         carry_parts_im.append(math.fsum(terms_im))
 
 
-def _symmetric_parts(sigma: float, t: float):
-    s = Argument(sigma, t)
-    p_s = center_point(s)
-    qp = big_q(s) * center_point(Argument(1.0 - sigma, t)).conjugate()
-    return p_s, qp
-
-
-def _gram_indices_between(t_lo: float, t_hi: float) -> range:
-    """Indices n with t_lo <= g_n <= t_hi."""
-    n = _gram_index_below(t_lo)
-    if n < 0 or gram_point(n).t < t_lo:
-        n += 1
-    return range(n, _gram_index_below(t_hi) + 1)
-
-
 def export_limacon(
     sigma: float, t_lo: float, t_hi: float, samples: int
 ) -> Iterator[Tuple]:
@@ -175,10 +153,10 @@ def export_limacon(
         raise DomainError("need t_lo < t_hi")
     grid = [t_lo + (t_hi - t_lo) * i / (samples - 1) for i in range(samples)]
     tagged = [(t, "sample") for t in grid]
-    tagged += [(gram_point(n).t, "gram") for n in _gram_indices_between(t_lo, t_hi)]
+    tagged += [(gram_point(n).t, "gram") for n in gram_indices(t_lo, t_hi)]
     tagged.sort(key=lambda item: (item[0], item[1] == "sample"))
     for t, tag in tagged:
-        p_s, qp = _symmetric_parts(sigma, t)
+        p_s, qp = symmetric_parts(Argument(sigma, t))
         z = p_s + qp
         yield (t, p_s.real, p_s.imag, qp.real, qp.imag, z.real, z.imag, tag)
 
@@ -202,7 +180,7 @@ def export_surface(
         sigma = sigma_lo + (sigma_hi - sigma_lo) * i / (n_sigma - 1)
         for j in range(n_t):
             t = t_lo + (t_hi - t_lo) * j / (n_t - 1)
-            p_s, qp = _symmetric_parts(sigma, t)
+            p_s, qp = symmetric_parts(Argument(sigma, t))
             yield (sigma, t, abs(p_s), abs(qp))
 
 
@@ -276,7 +254,7 @@ def export_histogram(
 
 
 def export_gram(t_lo: float, t_hi: float) -> Iterator[Tuple]:
-    for n in _gram_indices_between(t_lo, t_hi):
+    for n in gram_indices(t_lo, t_hi):
         yield (n, gram_point(n).t)
 
 

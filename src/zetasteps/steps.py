@@ -17,7 +17,7 @@ import numpy as np
 from .ddmath import TWOPI, dd_add, dd_log, log_table, phase_from_dd_log
 from .errors import ResourceGuardError
 
-RANGE_GUARD = 1_000_000_000
+TABLE_GUARD = 100_000_000  # dd log-table entries, 16 bytes each (1.6 GB)
 _VECTOR_CUTOFF = 16
 _BLOCK = 1 << 16
 
@@ -73,8 +73,11 @@ def phase_blocks(t, a: int, b: int, lookahead: int = 0):
     forward differences across the block edge.  For an ndarray t, phases
     has one row per ordinate and a block holds at most _BLOCK entries (at
     least one column).  The dd log table is sized once, to b + lookahead,
-    before the first block.
+    before the first block; past TABLE_GUARD entries ResourceGuardError is
+    raised first.
     """
+    if b + lookahead > TABLE_GUARD:
+        raise ResourceGuardError(f"log table of {b + lookahead} entries exceeds {TABLE_GUARD}")
     width, zero = _BLOCK, not isinstance(t, np.ndarray) and t == 0.0
     if isinstance(t, np.ndarray):
         t, width = t.reshape(-1, 1), max(1, _BLOCK // t.size)
@@ -94,10 +97,6 @@ def partial_sum(a: int, b: int, s: Argument) -> complex:
     kernel block and again over the block sums."""
     if a < 1 or b < a:
         raise ValueError(f"need 1 <= a <= b, got ({a}, {b})")
-    if b - a > RANGE_GUARD:
-        raise ResourceGuardError(
-            f"range of {b - a + 1} steps exceeds the guard of {RANGE_GUARD}"
-        )
     if b - a < _VECTOR_CUTOFF:
         terms = [step_term(n, s) for n in range(a, b + 1)]
         return complex(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -196,6 +196,12 @@ def center_point(s: Argument) -> complex:
     return partial_sum(1, frame.n_p, s) + pendant_offset(s)
 
 
+def symmetric_parts(s: Argument) -> Tuple[complex, complex]:
+    """(P(s), Q(s) * P(1-s)), whose sum is zeta(s) in the symmetric form;
+    P(1-s) is conj(P(1-sigma+it)).  No sigma range is checked."""
+    return center_point(s), big_q(s) * center_point(Argument(1.0 - s.sigma, s.t)).conjugate()
+
+
 def conj_region(n: int, t: float) -> ConjugateRegion:
     """Steps whose first angle differences bracket the n-th odd multiple
     of pi; their sum mirrors the single step n."""
@@ -226,7 +232,7 @@ def conj_sum_predicted(n: int, s: Argument) -> PredictedSum:
     region = conj_region(n, s.t)
     phi_n = reduced_phase(s.t, n) if n > 1 else 0.0
     phi_c = reduced_phase(s.t, region.N_center)
-    mag = float(frame.n_p) ** (1.0 - 2.0 * s.sigma) * float(n) ** (s.sigma - 1.0)
+    mag = frame.q_magnitude(s.sigma, "discrete") * float(n) ** (s.sigma - 1.0)
     ang = 2.0 * phi_c - phi_n - 0.25 * math.pi
     value = mag * cmath.exp(1j * ang)
     return PredictedSum(value, accuracy_unguaranteed=(n > frame.n_p / 4))

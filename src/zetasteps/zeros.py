@@ -49,10 +49,13 @@ class ZeroRecord:
 
 @lru_cache(maxsize=100_000)
 def gram_point(N: int) -> GramPoint:
-    """The ordinate g_N with theta_RS(g_N) = N*pi, by Newton iteration."""
+    """The ordinate g_N with theta_RS(g_N) = N*pi, by Newton iteration to
+    |theta_RS(t) - N*pi| <= max(1e-10, 4 ulp(N*pi)): above N*pi = 2**19 the
+    rounding of theta itself exceeds 1e-10."""
     if N < 0:
         raise DomainError(f"Gram index must be >= 0, got {N}")
     target = N * math.pi
+    tol = max(_GRAM_TOL, 4.0 * math.ulp(target))
     # Seed: solve u*(log u - 1) = N + 1/8 for u = t/2pi by Newton on the
     # smooth main term, then polish on the full series.
     u = max(3.0, float(N))
@@ -66,7 +69,7 @@ def gram_point(N: int) -> GramPoint:
     t = TWOPI * u
     for _ in range(_GRAM_MAX_ITER):
         resid = rs_theta(t) - target
-        if abs(resid) < _GRAM_TOL:
+        if abs(resid) <= tol:
             return GramPoint(index=N, t=t)
         deriv = 0.5 * math.log(t / TWOPI)
         t -= resid / deriv
@@ -90,6 +93,14 @@ def _gram_index_below(t: float) -> int:
     while gram_point(n + 1).t <= t:
         n += 1
     return n
+
+
+def gram_indices(t_lo: float, t_hi: float) -> range:
+    """Indices n with t_lo <= g_n <= t_hi."""
+    n = _gram_index_below(t_lo)
+    if n < 0 or gram_point(n).t < t_lo:
+        n += 1
+    return range(n, _gram_index_below(t_hi) + 1)
 
 
 def _brackets_on_grid(grid: np.ndarray, values: np.ndarray):
@@ -117,12 +128,8 @@ def scan_z_sign_changes(
         raise DomainError(f"scan needs t_lo >= 2*pi, got {t_lo}")
     if t_hi <= t_lo:
         return []
-    edges = [t_lo]
-    n = _gram_index_below(t_lo) + 1  # g_n > t_lo
-    while gram_point(n).t < t_hi:
-        edges.append(gram_point(n).t)
-        n += 1
-    edges.append(t_hi)
+    inner = (gram_point(n).t for n in gram_indices(t_lo, t_hi))
+    edges = [t_lo, *(g for g in inner if t_lo < g < t_hi), t_hi]
     k = _SUBDIVISIONS_PER_GRAM
     grid = np.linspace(edges[:-1], edges[1:], k + 1, axis=1)
     grid = np.append(grid[:, :-1], t_hi)  # neighbours share their edge

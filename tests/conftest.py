@@ -1,0 +1,24 @@
+"""Shared fixtures."""
+
+import numpy as np
+import pytest
+
+from zetasteps import steps
+
+TABLE_GUARD_ENTRIES = 100_000_000  # 1.6 GB of dd log table
+
+
+@pytest.fixture
+def table_recorder(monkeypatch):
+    """Replace the step kernel's log table with a tiny one that fails the
+    test on any request above the 1e8-entry guard, so a guard that comes
+    too late allocates nothing.  Yields the list of requested sizes."""
+    seen = []
+
+    def log_table(nmax):
+        seen.append(nmax)
+        assert nmax <= TABLE_GUARD_ENTRIES, f"log table of {nmax} entries requested"
+        return np.zeros(1), np.zeros(1)
+
+    monkeypatch.setattr(steps, "log_table", log_table)
+    yield seen

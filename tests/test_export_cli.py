@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -17,15 +18,22 @@ from zetasteps import (
     ResourceGuardError,
     eval_em_paper,
     eval_reference,
+    eval_symmetric,
     frame_of,
     gram_point,
     partial_sum,
     write_rows,
 )
-from zetasteps.cli import main
+from zetasteps.cli import EVAL_HEADER, main
 from zetasteps.export import (
+    CONJUGATE_HEADER,
+    GRAM_HEADER,
+    HISTOGRAM_HEADER,
     LIMACON_HEADER,
+    LOOPS_HEADER,
     STEPPLOT_HEADER,
+    SURFACE_HEADER,
+    ZEROS_HEADER,
     export_gram,
     export_histogram,
     export_limacon,
@@ -34,6 +42,7 @@ from zetasteps.export import (
     export_surface,
     export_zeros,
 )
+from zetasteps.symmetry import symmetric_parts
 
 TWOPI = 2.0 * math.pi
 # child interpreters import the same zetasteps as this process, installed or not
@@ -153,6 +162,20 @@ class TestSurface:
             list(export_surface(0.0, 1.0, 100.0, 200.0, 2000, 2000))
 
 
+def test_symmetric_parts_behind_evaluator_and_exports():
+    # one P(s), Q(s)P(1-s) pair: eval_symmetric sums it, limacon and surface
+    # print it (sigma = 0 and 1 only through the exports)
+    rnd = random.Random(20261018)
+    for sigma in [0.0, 1.0] + [rnd.uniform(0.01, 0.99) for _ in range(6)]:
+        t = rnd.uniform(20.0, 5000.0)
+        p, qp = symmetric_parts(Argument(sigma, t))
+        if 0.0 < sigma < 1.0:
+            assert eval_symmetric(Argument(sigma, t)).value == p + qp
+        row = next(export_limacon(sigma, t, t + 0.5, 2))
+        assert row == (t, p.real, p.imag, qp.real, qp.imag, (p + qp).real, (p + qp).imag, "sample")
+        assert next(export_surface(sigma, sigma + 0.1, t, t + 0.5, 2, 2)) == (sigma, t, abs(p), abs(qp))
+
+
 class TestLoopsZerosHistogram:
     def test_single_sample_equals_evaluator(self):
         rows = list(export_loops([0.5], 2000.0, 2010.0, 1))
@@ -194,6 +217,13 @@ class TestGram:
         for n, t in rows:
             assert abs(t - float(mpmath.grampoint(n))) < 1e-6
 
+    def test_above_two_to_the_19(self, capsys):
+        # N*pi > 2**19 here, where one ulp of theta exceeds 1e-10
+        assert main(["gram", "--t-lo", "200000", "--t-hi", "200010"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(298199, 298216))
+        assert all(200000 <= float(r[1]) <= 200010 for r in rows)
+
     def test_range_ends(self):
         g = [gram_point(n).t for n in range(6)]
         assert list(export_gram(1.0, 17.0)) == []
@@ -218,6 +248,61 @@ class TestCli:
 
     def test_guard_exit_three(self, capsys):
         assert self.run("stepplot", "--t", "100000000", "--decimation", "1") == 3
+
+    def test_table_guard_exit_three(self, table_recorder, tmp_path, capsys):
+        # each needs a log table past 1e8 entries (5-11 GB at t = 1e9)
+        for argv in (
+            ("eval", "--t", "1e9", "--algorithm", "reference"),
+            ("conjugate", "--t", "1e9"),
+            ("stepplot", "--t", "1e9", "--decimation", "1000"),
+        ):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert self.run(*argv, "--out", str(out)) == 3
+            assert "resource guard" in capsys.readouterr().err
+            assert not out.exists()
+        assert table_recorder == []
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--t", "nan"),
+        ("eval", "--t", "1e400"),
+        ("gram", "--t-lo", "nan", "--t-hi", "30"),
+        ("gram", "--t-lo", "10", "--t-hi", "inf"),
+        ("zeros", "--t-lo", "10", "--t-hi", "nan"),
+        ("loops", "--sigma", "0.5,abc", "--t-lo", "100", "--t-hi", "101"),
+        ("loops", "--sigma", ",", "--t-lo", "100", "--t-hi", "101"),
+        ("surface", "--t-lo", "100", "--t-hi", "101", "--sigma-lo", "inf"),
+    ])
+    def test_bad_numbers_exit_two(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.run(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("argv, header", [
+        (("eval", "--t", "100"), EVAL_HEADER),
+        (("zeros", "--t-lo", "10", "--t-hi", "30"), ZEROS_HEADER),
+        (("gram", "--t-lo", "10", "--t-hi", "30"), GRAM_HEADER),
+        (("conjugate", "--t", "1000", "--n-hi", "2"), CONJUGATE_HEADER),
+        (("stepplot", "--t", "100", "--decimation", "5"), STEPPLOT_HEADER),
+        (("limacon", "--t-lo", "100", "--t-hi", "101", "--samples", "3"), LIMACON_HEADER),
+        (("surface", "--t-lo", "100", "--t-hi", "101", "--n-sigma", "2", "--n-t", "2"),
+         SURFACE_HEADER),
+        (("loops", "--sigma", "0.5,0.6", "--t-lo", "100", "--t-hi", "101", "--samples", "2"),
+         LOOPS_HEADER),
+        (("histogram", "--count", "5", "--bins", "3"), HISTOGRAM_HEADER),
+    ])
+    def test_each_subcommand_writes_its_header(self, argv, header, fmt, capsys):
+        assert self.run(*argv, "--format", fmt) == 0
+        lines = capsys.readouterr().out.splitlines()
+        if fmt == "csv":
+            assert lines[0] == ",".join(header)
+            lines = lines[1:]
+        else:
+            assert all(list(json.loads(line)) == list(header) for line in lines)
+        assert lines
 
     def test_rs_line_reports_main_sum_length(self, capsys):
         assert self.run("eval", "--algorithm", "rs_line", "--t", "1000.5") == 0

@@ -126,6 +126,12 @@ class TestPartialSum:
         with pytest.raises(ResourceGuardError):
             partial_sum(1, 2_000_000_000, Argument(0.5, 10.0))
 
+    def test_table_guard_before_allocation(self, table_recorder):
+        # a short range far out needs a log table up to b: 16 GB at b = 1e9
+        with pytest.raises(ResourceGuardError):
+            partial_sum(10**9 - 20, 10**9, Argument(0.5, 1e5))
+        assert table_recorder == []
+
     @settings(max_examples=30, deadline=None)
     @given(
         a=st.integers(min_value=2, max_value=400),

@@ -27,7 +27,7 @@ from zetasteps import (
 )
 from zetasteps.cli import main
 from zetasteps.export import export_zeros
-from zetasteps.zeros import ZeroRecord
+from zetasteps.zeros import ZeroRecord, gram_indices
 
 mpmath.mp.dps = 30
 
@@ -52,6 +52,49 @@ class TestGramPoints:
     def test_domain(self):
         with pytest.raises(DomainError):
             gram_point(-1)
+
+    # Above N*pi = 2**19 (N >= 166,886), ulp(theta) exceeds 1e-10; Newton
+    # must stop within a few ulp(N*pi) instead.
+    @pytest.mark.parametrize("n", [166_890, 298_198, 1_000_003, 30_000_000])
+    def test_above_two_to_the_19(self, n):
+        assert abs(gram_point(n).t - float(mpmath.grampoint(n))) < 1e-6
+
+    @pytest.mark.parametrize("t_lo", [1.2e5, 2e5])
+    def test_find_zeros_above_two_to_the_19(self, t_lo):
+        t_hi = t_lo + 2.0
+        records = find_zeros(t_lo, t_hi)
+        assert len(records) == mpmath.nzeros(t_hi) - mpmath.nzeros(t_lo)
+        for rec in records:
+            assert t_lo <= rec.t <= t_hi
+            assert mpmath.siegelz(rec.t - 1e-6) * mpmath.siegelz(rec.t + 1e-6) < 0
+
+
+class TestGramIndices:
+    def test_inclusive_at_exact_gram_points(self):
+        g = [gram_point(n).t for n in range(6)]
+        assert list(gram_indices(g[1], g[4])) == [1, 2, 3, 4]
+        assert list(gram_indices(g[2], g[2])) == [2]
+        inside = (math.nextafter(g[1], math.inf), math.nextafter(g[4], 0.0))
+        assert list(gram_indices(*inside)) == [2, 3]
+        assert list(gram_indices(10.0, g[0])) == [0]
+        assert list(gram_indices(10.0, 17.0)) == []
+        assert list(gram_indices(g[3], g[2])) == []
+
+    @pytest.mark.parametrize("n, m", [(0, 4), (3, 40), (1000, 1003)])
+    def test_scan_between_gram_points(self, n, m):
+        # one grid of 8 steps per Gram interval: an end that is a Gram point
+        # must not give a zero-width interval (a repeated grid point)
+        grids = []
+
+        def z(ts):
+            grids.append(ts.copy())
+            return rs_z(ts)
+
+        scan_z_sign_changes(gram_point(n).t, gram_point(m).t, z)
+        grid = grids[0]
+        assert len(grid) == 8 * (m - n) + 1
+        assert np.all(np.diff(grid) > 0.0)
+        assert grid[0] == gram_point(n).t and grid[-1] == gram_point(m).t
 
 
 class TestScan:

@@ -1,6 +1,6 @@
 """Step-sum symmetry analysis of the partial sums of n**(-s).
 
-Public surface: step geometry and compensated sums (`steps`), the
+Public surface: step geometry and partial sums (`steps`), the
 symmetry frame with pendant center P(s) and factor Q(s) (`symmetry`),
 three evaluation routes plus the reference oracle (`evaluators`), Gram
 points and critical-line zeros (`zeros`), and figure-data exporters with

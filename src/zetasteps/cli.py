@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import itertools
 import math
+import os
 import sys
 from typing import Iterator, List, Optional, Tuple
 
@@ -69,15 +70,16 @@ def _eval_rows(args) -> Iterator[Tuple]:
 
 
 def _add_common(p: argparse.ArgumentParser, header, rows, *names: str) -> None:
-    """Options `names`, --format and --out; `rows(args)` yields rows under `header`."""
+    """Options `names`, --format and --out; `rows(args)` yields rows under `header`.
+    "t-range" requires --t-lo and --t-hi; "t-lo" requires --t-lo only."""
     p.set_defaults(header=header, rows=rows)
     if "sigma" in names:
         p.add_argument("--sigma", type=_finite, default=0.5)
     if "t" in names:
         p.add_argument("--t", type=_finite, required=True)
-    if "t-range" in names:
+    if "t-range" in names or "t-lo" in names:
         p.add_argument("--t-lo", type=_finite, required=True)
-        p.add_argument("--t-hi", type=_finite, required=True)
+        p.add_argument("--t-hi", type=_finite, required="t-range" in names)
     if "tol" in names:
         p.add_argument("--tol", type=_finite, default=1e-8)
     if "samples" in names:
@@ -104,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", help="locate critical-line zeros in a t range")
     _add_common(p, ex.ZEROS_HEADER, lambda a: ex.export_zeros(
         t_hi=a.t_hi, count=a.count, tol=a.tol, t_lo=a.t_lo
-    ), "t-range", "tol", "workers")
+    ), "t-lo", "tol", "workers")
     p.add_argument("--count", type=int, default=None,
                    help="stop after this many zeros (t-hi then optional)")
 
@@ -156,23 +158,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # A new or regular --out file is written to a temporary file beside it
+    # and renamed onto it only on success, so a failed run leaves no
+    # partial file; a symlink, device or pipe (/dev/null) is written in place.
+    tmp = None
+    if args.out is not None and not os.path.islink(args.out) and (
+        os.path.isfile(args.out) or not os.path.exists(args.out)
+    ):
+        tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
         # Exporters are generators that check their arguments on the first
-        # row; take it before anything is written or --out is created.
+        # row; take it before anything is written or a file is created.
         rows = iter(args.rows(args))
         rows = itertools.chain(list(itertools.islice(rows, 1)), rows)
         with contextlib.ExitStack() as stack:
-            if args.out is None:
-                stream = sys.stdout
-            else:
-                stream = stack.enter_context(open(args.out, "w"))
+            out = tmp or args.out
+            stream = sys.stdout if out is None else stack.enter_context(open(out, "w"))
             ex.write_rows(stream, args.header, rows, args.format)
+        if tmp is not None:
+            os.replace(tmp, args.out)
     except DomainError as err:
         print(f"domain error: {err}", file=sys.stderr)
         return 2
     except ResourceGuardError as err:
         print(f"resource guard: {err}", file=sys.stderr)
         return 3
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.remove(tmp)
     return 0
 
 

@@ -121,14 +121,13 @@ def export_stepplot(s: Argument, decimation: int = 1) -> Iterator[Tuple]:
             f"stepplot would emit > {STEPPLOT_ROW_GUARD} rows; "
             "increase --decimation"
         )
-    carry_parts_re: List[float] = []
-    carry_parts_im: List[float] = []
+    carry_re = carry_im = 0.0
     for a, b, phases in phase_blocks(s.t, 1, n_max, lookahead=2):
         lengths = np.arange(a, b + 1, dtype=float) ** (-s.sigma)
         terms_re = lengths * np.cos(phases[: b - a + 1])
         terms_im = lengths * np.sin(phases[: b - a + 1])
-        cum_re = np.cumsum(terms_re) + math.fsum(carry_parts_re)
-        cum_im = np.cumsum(terms_im) + math.fsum(carry_parts_im)
+        cum_re = np.cumsum(terms_re) + carry_re
+        cum_im = np.cumsum(terms_im) + carry_im
         d1, d2 = phase_diffs(phases)
         for n in range(a, b + 1):
             i = n - a
@@ -138,8 +137,8 @@ def export_stepplot(s: Argument, decimation: int = 1) -> Iterator[Tuple]:
                 or n == n_max
             ):
                 yield (n, cum_re[i], cum_im[i], d1[i], d2[i])
-        carry_parts_re.append(math.fsum(terms_re))
-        carry_parts_im.append(math.fsum(terms_im))
+        carry_re += np.sum(terms_re)
+        carry_im += np.sum(terms_im)
 
 
 def export_limacon(

@@ -1,4 +1,4 @@
-"""Individual steps n**(-s), their angles, and compensated partial sums.
+"""Individual steps n**(-s), their angles, and partial sums.
 
 A *step* is the term n**(-s) drawn as a segment of length n**(-sigma) at
 angle -t*log(n).  Everything downstream (symmetry frames, evaluators,
@@ -93,23 +93,17 @@ def phase_blocks(t, a: int, b: int, lookahead: int = 0):
 
 
 def partial_sum(a: int, b: int, s: Argument) -> complex:
-    """Sum of step_term(n, s) for a <= n <= b, by math.fsum within each
-    kernel block and again over the block sums."""
+    """Sum of step_term(n, s) for a <= n <= b: np.sum within each kernel
+    block, added to a running sum over the blocks."""
     if a < 1 or b < a:
         raise ValueError(f"need 1 <= a <= b, got ({a}, {b})")
     if b - a < _VECTOR_CUTOFF:
-        terms = [step_term(n, s) for n in range(a, b + 1)]
-        return complex(
-            math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms)
-        )
-    re_parts = []
-    im_parts = []
+        return sum((step_term(n, s) for n in range(a, b + 1)), 0j)
+    total = 0j
     for lo, hi, theta in phase_blocks(abs(s.t), a, b):
         lengths = np.arange(lo, hi + 1, dtype=float) ** (-s.sigma)
-        re_parts.append(math.fsum(lengths * np.cos(theta)))
-        im_parts.append(math.fsum(lengths * np.sin(theta)))
-    im = math.fsum(im_parts)
-    return complex(math.fsum(re_parts), -im if s.t < 0.0 else im)
+        total += complex(np.sum(lengths * np.cos(theta)), np.sum(lengths * np.sin(theta)))
+    return total.conjugate() if s.t < 0.0 else total
 
 
 def phase_diffs(phases):

@@ -20,7 +20,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, ResourceGuardError
 from .evaluators import rs_z, z_reference
 from .symmetry import TWOPI, rs_theta
 
@@ -29,6 +29,7 @@ _GRAM_MAX_ITER = 50
 _T_SCAN_FLOOR = 10.0
 _TOL_FLOOR = 1e-10
 _SUBDIVISIONS_PER_GRAM = 8  # scan grid steps per Gram interval
+SCAN_GUARD = 1_000_000  # Gram intervals per scan, about 2.3 kB each (2.3 GB)
 
 
 @dataclass(frozen=True)
@@ -122,12 +123,17 @@ def scan_z_sign_changes(
     z maps an ndarray of ordinates to an ndarray of values; it is called
     once on the whole grid.  A Gram interval whose running count falls >= 2
     behind the smooth estimate is re-scanned at 4x density (close pairs,
-    Gram-law breaks), one small call of z each.
+    Gram-law breaks), one small call of z each.  A range of more than
+    SCAN_GUARD Gram intervals raises ResourceGuardError before any Gram
+    point is computed.
     """
     if t_lo < TWOPI:
         raise DomainError(f"scan needs t_lo >= 2*pi, got {t_lo}")
     if t_hi <= t_lo:
         return []
+    intervals = (rs_theta(t_hi) - rs_theta(max(t_lo, _T_SCAN_FLOOR))) / math.pi
+    if intervals > SCAN_GUARD:
+        raise ResourceGuardError(f"scan of {intervals:.3g} Gram intervals exceeds {SCAN_GUARD}")
     inner = (gram_point(n).t for n in gram_indices(t_lo, t_hi))
     edges = [t_lo, *(g for g in inner if t_lo < g < t_hi), t_hi]
     k = _SUBDIVISIONS_PER_GRAM

@@ -351,6 +351,56 @@ class TestCli:
         assert self.run("gram", "--t-lo", "20", "--t-hi", "20.1", "--out", str(empty)) == 0
         assert empty.read_text() == "index,t\n"
 
+    @pytest.mark.parametrize("argv, kwargs", [
+        (("--t-lo", "10", "--count", "3"), dict(count=3)),
+        (("--t-lo", "100", "--count", "2"), dict(count=2, t_lo=100.0)),
+    ])
+    def test_zeros_count_without_t_hi(self, argv, kwargs, capsys):
+        assert self.run("zeros", *argv) == 0
+        assert capsys.readouterr().out == render(ZEROS_HEADER, export_zeros(**kwargs))
+
+    def test_zeros_without_t_hi_or_count_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        assert self.run("zeros", "--t-lo", "10", "--out", str(out)) == 2
+        assert "need a t_hi or a zero count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("conjugate", "--t", "1000", "--n-lo", "1", "--n-hi", "50"),  # n_p = 12
+        ("loops", "--sigma", "0.5,2.0", "--t-lo", "100", "--t-hi", "101", "--samples", "3"),
+        ("loops", "--t-lo", "60", "--t-hi", "40", "--samples", "3"),
+    ])
+    def test_late_domain_error_leaves_no_file(self, argv, tmp_path, capsys):
+        # each raises after its first row
+        out = tmp_path / "out.csv"
+        assert self.run(*argv, "--out", str(out)) == 2
+        assert list(tmp_path.iterdir()) == []
+        out.write_bytes(b"kept\n")
+        assert self.run(*argv, "--out", str(out)) == 2
+        assert out.read_bytes() == b"kept\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_out_file_equals_stdout(self, tmp_path, capsys):
+        argv = ("loops", "--sigma", "0.5,0.6", "--t-lo", "100", "--t-hi", "101",
+                "--samples", "3")
+        assert self.run(*argv) == 0
+        want = capsys.readouterr().out
+        out = tmp_path / "out.csv"
+        out.write_text("old contents that are longer than the new ones\n" * 20)
+        assert self.run(*argv, "--out", str(out)) == 0
+        assert out.read_text() == want
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_symlink_out_written_in_place(self, tmp_path, capsys):
+        # a symlink (like /dev/stdout) is written through, not replaced
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert self.run("gram", "--t-lo", "10", "--t-hi", "30", "--out", str(link)) == 0
+        assert link.is_symlink()
+        assert target.read_text().splitlines()[0] == "index,t"
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
     def test_zeros_csv_to_file(self, tmp_path, capsys):
         out = tmp_path / "z.csv"
         assert self.run("zeros", "--t-lo", "10", "--t-hi", "30",

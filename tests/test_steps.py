@@ -1,6 +1,7 @@
-"""Step geometry: reduced phases, single terms, compensated sums."""
+"""Step geometry: reduced phases, single terms, partial sums."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -121,6 +122,24 @@ class TestPartialSum:
         sm = mpmath.mpc(0.5, 12345.678)
         want = complex(mpmath.zeta(sm) - mpmath.zeta(sm, n + 1))
         assert abs(partial_sum(1, n, Argument(0.5, 12345.678)) - want) < 1e-11
+
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 640, 65536, 65537])
+    def test_conjugate_exact(self, count):
+        # both paths (short and blocked) and a block edge
+        rng = random.Random(count)
+        s = Argument(rng.uniform(0.0, 1.0), rng.uniform(10.0, 1e5))
+        a = rng.randint(1, 100)
+        b = a + count - 1
+        assert partial_sum(a, b, s.conjugate()) == partial_sum(a, b, s).conjugate()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_head_sum_at_1e5_matches_hurwitz(self, seed):
+        # the oracle's head sum near t = 1e5: n = ceil(0.7 t) - 1 terms
+        t = random.Random(seed).uniform(1e5, 1.02e5)
+        n = math.ceil(0.7 * t) - 1
+        sm = mpmath.mpc(0.5, t)
+        want = complex(mpmath.zeta(sm) - mpmath.zeta(sm, n + 1))
+        assert abs(partial_sum(1, n, Argument(0.5, t)) - want) < 1e-12
 
     def test_resource_guard(self):
         with pytest.raises(ResourceGuardError):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from zetasteps import (
     Argument,
     DomainError,
+    ResourceGuardError,
     eval_reference,
     find_zeros,
     gram_offsets,
@@ -28,6 +29,8 @@ from zetasteps import (
 from zetasteps.cli import main
 from zetasteps.export import export_zeros
 from zetasteps.zeros import ZeroRecord, gram_indices
+
+zeros_module = sys.modules["zetasteps.zeros"]
 
 mpmath.mp.dps = 30
 
@@ -120,6 +123,50 @@ class TestScan:
     def test_domain(self):
         with pytest.raises(DomainError):
             scan_z_sign_changes(1.0, 30.0)
+
+
+@pytest.fixture
+def gram_recorder(monkeypatch):
+    """Count the scan's Gram point calls and fail past 1,000, so a scan
+    guard that comes too late fails without walking its range."""
+    calls = []
+
+    def recorder(n):
+        calls.append(n)
+        assert len(calls) <= 1000, "scan walked the Gram points past 1,000 calls"
+        return gram_point(n)
+
+    monkeypatch.setattr(zeros_module, "gram_point", recorder)
+    return calls
+
+
+class TestScanGuard:
+    def test_refused_before_any_gram_point(self, gram_recorder):
+        # 2.48e8 Gram intervals: about 8 GB of edges and 18 GB of grid
+        with pytest.raises(ResourceGuardError):
+            find_zeros(10.0, 1e8)
+        with pytest.raises(ResourceGuardError):
+            scan_z_sign_changes(10.0, 1e8)
+        assert gram_recorder == []
+
+    @pytest.mark.parametrize("argv", [
+        ("zeros", "--t-lo", "10", "--t-hi", "1e8"),
+        ("histogram", "--count", "100000000"),
+    ])
+    def test_cli_exit_three(self, gram_recorder, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "resource guard" in captured.err and captured.out == ""
+        assert not out.exists()
+        assert gram_recorder == []
+
+    def test_threshold_counts_gram_intervals(self, gram_recorder, monkeypatch):
+        # theta(t)/pi runs from -0.98 at t = 10 to N at g_N
+        monkeypatch.setattr(zeros_module, "SCAN_GUARD", 20)
+        assert len(find_zeros(10.0, gram_point(18).t)) == 19
+        with pytest.raises(ResourceGuardError):
+            find_zeros(10.0, gram_point(20).t)
 
 
 class TestRefine:

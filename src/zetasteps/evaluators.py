@@ -19,7 +19,6 @@ from typing import FrozenSet
 
 import numpy as np
 
-from .ddmath import mod_twopi
 from .errors import DomainError, ToleranceError
 from .steps import _BLOCK, Argument, partial_sum, phase_blocks, reduced_phase, step_term
 from .symmetry import (
@@ -27,7 +26,6 @@ from .symmetry import (
     frame_of,
     sqrt_t_over_twopi,
     symmetric_parts,
-    _theta_dd,
     _theta_mod_unchecked,
 )
 
@@ -116,10 +114,9 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
     best = None
     terms = 0
     for _ in range(8):
-        phi_n = reduced_phase(s.t, n)
-        tail, err, used = _em_tail(sc, phi_n, n, target_abs_error)
+        head = partial_sum(1, n - 1, s)  # first: TABLE_GUARD outranks the phase limit
+        tail, err, used = _em_tail(sc, reduced_phase(s.t, n), n, target_abs_error)
         if err < best_err:
-            head = partial_sum(1, n - 1, s)
             best = head + tail
             best_err = err
             terms = (n - 1) + used
@@ -260,7 +257,7 @@ def rs_z(t):
         raise DomainError(f"rs_z needs t >= 2*pi, got {ts.min()}")
     r = sqrt_t_over_twopi(ts)
     n_p = np.floor(r).astype(np.intp)
-    theta = mod_twopi(*_theta_dd(ts))
+    theta = _theta_mod_unchecked(ts)
     head = np.zeros(ts.size)
     rows = max(1, _BLOCK // int(n_p.max(initial=1)))  # rows x n_max <= _BLOCK
     for i in range(0, ts.size, rows):

@@ -114,7 +114,7 @@ def export_stepplot(s: Argument, decimation: int = 1) -> Iterator[Tuple]:
     """
     if decimation < 1:
         raise DomainError("decimation must be >= 1")
-    frame = frame_of(s.t)
+    n_p = frame_of(s.t).n_p
     n_max = int(math.floor(s.t / math.pi))
     if n_max // decimation > STEPPLOT_ROW_GUARD:
         raise ResourceGuardError(
@@ -123,20 +123,15 @@ def export_stepplot(s: Argument, decimation: int = 1) -> Iterator[Tuple]:
         )
     carry_re = carry_im = 0.0
     for a, b, phases in phase_blocks(s.t, 1, n_max, lookahead=2):
-        lengths = np.arange(a, b + 1, dtype=float) ** (-s.sigma)
+        n = np.arange(a, b + 1)
+        lengths = n.astype(float) ** (-s.sigma)
         terms_re = lengths * np.cos(phases[: b - a + 1])
         terms_im = lengths * np.sin(phases[: b - a + 1])
         cum_re = np.cumsum(terms_re) + carry_re
         cum_im = np.cumsum(terms_im) + carry_im
         d1, d2 = phase_diffs(phases)
-        for n in range(a, b + 1):
-            i = n - a
-            if (
-                (n - 1) % decimation == 0
-                or abs(n - frame.n_p) <= 2 * frame.n_p
-                or n == n_max
-            ):
-                yield (n, cum_re[i], cum_im[i], d1[i], d2[i])
+        keep = ((n - 1) % decimation == 0) | (np.abs(n - n_p) <= 2 * n_p) | (n == n_max)
+        yield from zip(*(col[keep].tolist() for col in (n, cum_re, cum_im, d1[: b - a + 1], d2)))
         carry_re += np.sum(terms_re)
         carry_im += np.sum(terms_im)
 

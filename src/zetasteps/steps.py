@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddmath import TWOPI, dd_add, dd_log, log_table, phase_from_dd_log
-from .errors import ResourceGuardError
+from .ddmath import REDUCTION_LIMIT, TWOPI, dd_add, dd_log, log_table, phase_from_dd_log
+from .errors import DomainError, ResourceGuardError
 
 TABLE_GUARD = 100_000_000  # dd log-table entries, 16 bytes each (1.6 GB)
 _VECTOR_CUTOFF = 16
@@ -41,13 +41,21 @@ class Argument:
         return complex(self.sigma, self.t)
 
 
+def check_reducible(x) -> None:
+    """DomainError where |x| (a float or an ndarray's largest) reaches REDUCTION_LIMIT."""
+    big = float(np.max(np.abs(x), initial=0.0)) if isinstance(x, np.ndarray) else abs(x)
+    if big >= REDUCTION_LIMIT:
+        raise DomainError(f"phase of {big:.6g} rad is past the reduction limit {REDUCTION_LIMIT:.6g}")
+
+
 def reduced_phase(t: float, x: float) -> float:
     """(-t * log(x)) mod 2*pi, in [0, 2*pi).
 
-    The product t*log(x) is carried in double-double precision before the
-    reduction; absolute error stays below 1e-9 rad for t <= 1e8.
+    Measured within 6.7e-15 rad for t, x <= 1e8 (see ddmath); DomainError where
+    |t*log(x)| reaches REDUCTION_LIMIT, about 1.349e10.
     """
     lh, ll = dd_log(x)
+    check_reducible(t * lh)
     return phase_from_dd_log(t, lh, ll)
 
 
@@ -74,10 +82,11 @@ def phase_blocks(t, a: int, b: int, lookahead: int = 0):
     has one row per ordinate and a block holds at most _BLOCK entries (at
     least one column).  The dd log table is sized once, to b + lookahead,
     before the first block; past TABLE_GUARD entries ResourceGuardError is
-    raised first.
+    raised first, then DomainError past the phase limit (check_reducible).
     """
     if b + lookahead > TABLE_GUARD:
         raise ResourceGuardError(f"log table of {b + lookahead} entries exceeds {TABLE_GUARD}")
+    check_reducible(t * math.log(b + lookahead))
     width, zero = _BLOCK, not isinstance(t, np.ndarray) and t == 0.0
     if isinstance(t, np.ndarray):
         t, width = t.reshape(-1, 1), max(1, _BLOCK // t.size)

@@ -29,7 +29,7 @@ from .ddmath import (
     mod_twopi,
 )
 from .errors import DomainError
-from .steps import Argument, partial_sum, reduced_phase
+from .steps import Argument, check_reducible, partial_sum, reduced_phase
 
 DEGENERATE_COS_EPS = 1e-3
 _SNAP = 32 * 2.220446049250313e-16  # integer-sqrt snap, ~32 ulp relative
@@ -121,8 +121,12 @@ def rs_theta_mod(t: float) -> float:
     return _theta_mod_unchecked(t)
 
 
-def _theta_mod_unchecked(t: float) -> float:
-    return mod_twopi(*_theta_dd(t))
+def _theta_mod_unchecked(t):
+    """rs_theta_mod without the t >= 10 check, for floats or ndarrays; the
+    reduction limit refuses theta from t = 1.48e9 on."""
+    hi, lo = _theta_dd(t)
+    check_reducible(hi)
+    return mod_twopi(hi, lo)
 
 
 def sqrt_t_over_twopi(t):
@@ -165,8 +169,9 @@ def big_q(s: Argument, variant: str = "continuous") -> complex:
     t = s.t
     if t < TWOPI:
         raise DomainError(f"big_q needs t >= 2*pi, got {t}")
-    mag = frame_of(t).q_magnitude(s.sigma, variant)
     hi, lo = _theta_dd(t)
+    check_reducible(2.0 * hi)  # refused from t = 7.66e8 on
+    mag = frame_of(t).q_magnitude(s.sigma, variant)
     phase = mod_twopi(-2.0 * hi, -2.0 * lo)
     return mag * complex(math.cos(phase), math.sin(phase))
 

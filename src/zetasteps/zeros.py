@@ -159,7 +159,6 @@ def refine_zero(
     bracket: Tuple[float, float],
     tol: float,
     z: Callable[[float], float] = z_reference,
-    ordinal: int = 0,
 ) -> ZeroRecord:
     """Shrink a sign-change bracket of z below tol by an Illinois solve.
 
@@ -173,14 +172,14 @@ def refine_zero(
     if hi < lo:
         raise DomainError("bracket endpoints out of order")
     if hi - lo <= tol:
-        return _make_record(ordinal, 0.5 * (lo + hi), (lo, hi))
-    return _solve_one(z, lo, hi, z(lo), z(hi), tol, ordinal)
+        return _make_record(0.5 * (lo + hi), (lo, hi))
+    return _solve_one(z, lo, hi, z(lo), z(hi), tol)
 
 
-def _solve_one(z, lo, hi, f_lo, f_hi, tol, ordinal=0) -> ZeroRecord:
+def _solve_one(z, lo, hi, f_lo, f_hi, tol) -> ZeroRecord:
     """_illinois on one bracket of a scalar z."""
     x, f = _illinois(np.vectorize(z, otypes=[float]), [lo, hi], [f_lo, f_hi], tol)
-    return _record(x[:, 0].tolist(), f[:, 0].tolist(), ordinal)
+    return _record(x[:, 0].tolist(), f[:, 0].tolist())
 
 
 def _illinois(z, x, f, tol):
@@ -215,22 +214,20 @@ def _illinois(z, x, f, tol):
     return x, f
 
 
-def _record(x, f, ordinal=0) -> ZeroRecord:
+def _record(x, f) -> ZeroRecord:
     """The bracket end x[k] with the smaller |f[k]|, and that |f[k]|."""
     k = 0 if abs(f[0]) <= abs(f[1]) else 1
-    return _make_record(ordinal, x[k], tuple(x), abs(f[k]))
+    return _make_record(x[k], tuple(x), abs(f[k]))
 
 
-def _make_record(
-    ordinal: int, t: float, bracket: Tuple[float, float], residual: float = math.nan
-) -> ZeroRecord:
+def _make_record(t: float, bracket: Tuple[float, float], residual: float = math.nan) -> ZeroRecord:
     idx = _gram_index_below(t)
     if idx < 0:
-        return ZeroRecord(ordinal, t, bracket, -1, math.nan, residual)
+        return ZeroRecord(0, t, bracket, -1, math.nan, residual)
     g0 = gram_point(idx).t
     g1 = gram_point(idx + 1).t
     offset = (t - 0.5 * (g0 + g1)) / (0.5 * (g1 - g0))
-    return ZeroRecord(ordinal, t, bracket, idx, offset, residual)
+    return ZeroRecord(0, t, bracket, idx, offset, residual)
 
 
 def _refine_on_oracle(bracket: Tuple[float, float], tol: float) -> ZeroRecord:

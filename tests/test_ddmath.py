@@ -18,13 +18,25 @@ from zetasteps.steps import reduced_phase
 TABLE_N = 500_000
 
 
-def dd_error(exact, h, l):
+def dd_error(exact, *parts):
     with mpmath.workdps(50):
-        return float(abs(mpmath.mpf(h) + mpmath.mpf(l) - exact()))
+        return float(abs(sum(mpmath.mpf(p) for p in parts) - exact()))
+
+
+def significant_bits(x):
+    m = int(math.ldexp(math.frexp(x)[0], 53))
+    return m.bit_length() - (m & -m).bit_length() + 1
 
 
 def log_error(x, h, l):
     return dd_error(lambda: mpmath.log(mpmath.mpf(x)), h, l)
+
+
+def angle_error(exact, r):
+    """Distance of r from the mpf angle exact, modulo 2*pi (in 50 digits)."""
+    with mpmath.workdps(50):
+        d = (exact - mpmath.mpf(r)) % (2 * mpmath.pi)
+        return float(min(d, 2 * mpmath.pi - d))
 
 
 def log_bound(x):
@@ -40,6 +52,12 @@ def log_bound(x):
     ],
 )
 def test_dd_constants(name, exact):
+    if name == "TWOPI":
+        # the Cody-Waite pieces: q*C1 and q*C2 are exact for |q| < 2**31
+        parts = ddmath.TWOPI_C1, ddmath.TWOPI_C2, ddmath.TWOPI_C3
+        assert [significant_bits(c) <= 22 for c in parts[:2]] == [True, True]
+        assert dd_error(exact, *parts) <= 1e-28
+        return
     h, l = getattr(ddmath, name + "_HI"), getattr(ddmath, name + "_LO")
     assert dd_error(exact, h, l) <= 1e-32 * abs(h)
 
@@ -157,9 +175,18 @@ def test_mod_twopi_scalar_matches_array_near_multiples():
     k[:1000] = 0.0
     offset = rng.uniform(-1e-15, 1e-15, size=k.size)
     offset[::2] *= 10.0 ** -rng.integers(1, 30, size=offset[::2].size)
-    ph = k * ddmath.TWOPI_HI + offset
-    pl = k * ddmath.TWOPI_LO * rng.uniform(0.0, 2.0, size=k.size)
+    twopi_hi, twopi_lo = 6.283185307179586, 2.4492935982947064e-16  # 2*pi as a dd pair
+    ph = k * twopi_hi + offset
+    pl = k * twopi_lo * rng.uniform(0.0, 2.0, size=k.size)
+    # and k near +-(2**31 - 1), the largest |q| for which q*C1 and q*C2 stay exact
+    edge = (2.0**31 - 1.0 - rng.integers(0, 100, size=400)) * np.repeat([1.0, -1.0], 200)
+    ph = np.concatenate([ph, edge * twopi_hi])
+    pl = np.concatenate([pl, edge * twopi_lo * rng.uniform(0.0, 2.0, size=edge.size)])
     arr = ddmath.mod_twopi(ph, pl)
     scal = np.array([ddmath.mod_twopi(float(h), float(l)) for h, l in zip(ph, pl)])
     assert np.all((arr >= 0.0) & (arr < ddmath.TWOPI))
     assert np.array_equal(scal, arr)
+    with mpmath.workdps(50):
+        exact = [mpmath.mpf(h) + mpmath.mpf(l) for h, l in zip(ph[-400:], pl[-400:])]
+        worst = max(angle_error(e, r) for e, r in zip(exact, arr[-400:]))
+    assert worst <= 2e-15  # two ulps of 2*pi

@@ -461,6 +461,14 @@ class TestCli:
         objs = [json.loads(line) for line in out]
         assert all(set(o) == set(LIMACON_HEADER) for o in objs)
 
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetasteps", "eval", "--t", "1000"],
+            capture_output=True, text=True, env=CHILD_ENV,
+        )
+        assert self.run("eval", "--t", "1000") == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-c",

@@ -70,3 +70,24 @@ def test_no_module_names_fsum():
     files = sorted(SRC.glob("*.py"))
     users = [f.name for f in files if "fsum" in code_names(f)]
     assert users == []
+
+
+def test_phase_reduction_is_branch_free():
+    # One Cody-Waite body serves floats and arrays: no type or value branch
+    # and no dd arithmetic.  On 65,536 entries (2-CPU VM) x // 1.0 costs 31
+    # ns/elem and np.where 15, the 1.5*2**52 rounding trick 0.5-0.7 and a
+    # boolean-mask wrap 1.1-1.5.
+    tree = ast.parse((SRC / "ddmath.py").read_text())
+    bodies = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("mod_twopi", "phase_from_dd_log")
+    }
+    assert sorted(bodies) == ["mod_twopi", "phase_from_dd_log"]
+    banned = {"isinstance", "where", "two_prod", "dd_add"}
+    for name, fn in bodies.items():
+        nodes = list(ast.walk(fn))
+        assert not [n for n in nodes if isinstance(n, (ast.If, ast.IfExp, ast.FloorDiv))], name
+        used = {n.id for n in nodes if isinstance(n, ast.Name)}
+        used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        assert not banned & used, name

@@ -4,18 +4,22 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetasteps import (
     Argument,
+    DomainError,
     ResourceGuardError,
     angle_diffs,
     partial_sum,
     reduced_phase,
     step_term,
 )
+from zetasteps.ddmath import REDUCTION_LIMIT, _dd_log, phase_from_dd_log
+from zetasteps.steps import TABLE_GUARD, phase_blocks
 
 mpmath.mp.dps = 40
 TWOPI = 2.0 * math.pi
@@ -27,6 +31,11 @@ def mp_reduced_phase(t, x):
     if v < 0:
         v += 2 * mpmath.pi
     return float(v)
+
+
+def circular_gap(a, b):
+    d = abs(a - b) % TWOPI
+    return min(d, TWOPI - d)
 
 
 class TestReducedPhase:
@@ -54,6 +63,48 @@ class TestReducedPhase:
         err = min(err, TWOPI - err)  # wrap-around at the seam
         assert 0.0 <= got < TWOPI
         assert err < 1e-9
+
+
+class TestReductionLimit:
+    """The phase contract at t = 1e8 with n up to TABLE_GUARD, and the
+    DomainError of each phase entry just past REDUCTION_LIMIT."""
+
+    def test_contract_at_table_guard(self):
+        rng = random.Random(20261019)
+        ns = [TABLE_GUARD - k for k in range(5)] + [
+            rng.randrange(TABLE_GUARD - 10**6, TABLE_GUARD) for _ in range(100)
+        ]
+        # _dd_log on an array grows no table
+        arr = phase_from_dd_log(1e8, *_dd_log(np.array(ns, dtype=float)))
+        scal = [reduced_phase(1e8, n) for n in ns]
+        assert arr.tolist() == scal
+        worst = max(circular_gap(r, mp_reduced_phase(1e8, n)) for r, n in zip(scal, ns))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 1000, 10**6])
+    def test_reduced_phase(self, n):
+        edge = REDUCTION_LIMIT / math.log(n)
+        with pytest.raises(DomainError):
+            reduced_phase(edge * (1.0 + 1e-9), n)
+        t = edge * (1.0 - 1e-9)
+        assert circular_gap(reduced_phase(t, n), mp_reduced_phase(t, n)) <= 1e-13
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_phase_blocks(self, as_array):
+        edge = REDUCTION_LIMIT / math.log(1002)  # b + lookahead
+        past, below = edge * (1.0 + 1e-9), edge * (1.0 - 1e-9)
+        if as_array:
+            past, below = np.array([10.0, past]), np.array([10.0, below])
+        with pytest.raises(DomainError):
+            next(phase_blocks(past, 1, 1000, lookahead=2))
+        phases = next(phase_blocks(below, 1, 1000, lookahead=2))[2]
+        last = phases[1, -1] if as_array else phases[-1]
+        assert circular_gap(last, mp_reduced_phase(edge * (1.0 - 1e-9), 1002)) <= 1e-13
+
+    def test_table_guard_comes_first(self, table_recorder):
+        with pytest.raises(ResourceGuardError):
+            next(phase_blocks(1e10, 1, TABLE_GUARD + 1))
+        assert table_recorder == []
 
 
 class TestStepTerm:

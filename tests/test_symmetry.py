@@ -4,6 +4,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,11 @@ from zetasteps import (
     reduced_phase,
     rs_theta,
     rs_theta_mod,
+    rs_z,
+    z_reference,
+    zeta_on_line,
 )
+from zetasteps.ddmath import REDUCTION_LIMIT
 
 mpmath.mp.dps = 40
 TWOPI = 2.0 * math.pi
@@ -147,6 +152,40 @@ class TestThetaContract:
 
         monkeypatch.setattr(sym, "_theta_dd", no_theta)
         assert frame_of(t).n_p == fr.n_p
+
+
+def t_at_theta(target):
+    """The t at which the theta series reaches target (Newton, dps 50)."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(target) / 10
+        for _ in range(40):
+            t -= (mp_theta_series(t) - target) / (mpmath.log(t / (2 * mpmath.pi)) / 2)
+        return float(t)
+
+
+class TestReductionLimit:
+    """Each theta reduction refuses theta (or 2*theta in Q) just past
+    REDUCTION_LIMIT and keeps 1e-13 rad just below it."""
+
+    def test_theta(self):
+        edge = t_at_theta(REDUCTION_LIMIT)  # 1.48e9
+        past, below = edge * (1.0 + 1e-9), edge * (1.0 - 1e-9)
+        for entry in (rs_theta_mod, zeta_on_line, z_reference, rs_z, lambda t: rs_z(np.array([t]))):
+            with pytest.raises(DomainError):
+                entry(past)
+        with mpmath.workdps(50):
+            want = float(mp_theta_series(below) % (2 * mpmath.pi))
+        assert circular_gap(rs_theta_mod(below), want) <= 1e-13
+
+    def test_big_q(self):
+        edge = t_at_theta(REDUCTION_LIMIT / 2)  # 7.66e8
+        past, below = edge * (1.0 + 1e-9), edge * (1.0 - 1e-9)
+        with pytest.raises(DomainError):
+            big_q(Argument(0.5, past))
+        with mpmath.workdps(50):
+            want = float((-2 * mp_theta_series(below)) % (2 * mpmath.pi))
+        q = big_q(Argument(0.5, below))
+        assert circular_gap(math.atan2(q.imag, q.real), want) <= 1e-13
 
 
 class TestBigQ:

@@ -349,10 +349,10 @@ class TestOffsets:
         # offsets are computed inside the pipeline; verify the formula directly
         from zetasteps.zeros import _make_record
 
-        assert _make_record(1, 0.5 * (g0 + g1), (0, 0)).scaled_offset == pytest.approx(
+        assert _make_record(0.5 * (g0 + g1), (0, 0)).scaled_offset == pytest.approx(
             0.0, abs=1e-9
         )
-        assert abs(_make_record(1, g1, (0, 0)).scaled_offset) == pytest.approx(
+        assert abs(_make_record(g1, (0, 0)).scaled_offset) == pytest.approx(
             1.0, abs=1e-9
         )
 

@@ -204,11 +204,9 @@ def export_zeros(
     t_hi: Optional[float] = None,
     count: Optional[int] = None,
     tol: float = 1e-8,
-    workers: int = 1,
     t_lo: float = 10.0,
 ) -> Iterator[Tuple]:
-    """Located zeros in [t_lo, t_hi] with Gram offsets and oracle residuals.
-    `workers` is accepted and ignored."""
+    """Located zeros in [t_lo, t_hi] with Gram offsets and oracle residuals."""
     records = _collect_zeros(t_hi, count, tol, t_lo)
     return _zero_rows(records)
 
@@ -233,11 +231,8 @@ def _collect_zeros(
     return records
 
 
-def export_histogram(
-    count: int, bins: int, tol: float = 1e-8, workers: int = 1
-) -> Iterator[Tuple]:
-    """Gram-offset histogram of the first `count` zeros; `workers` is
-    accepted and ignored."""
+def export_histogram(count: int, bins: int, tol: float = 1e-8) -> Iterator[Tuple]:
+    """Gram-offset histogram of the first `count` zeros."""
     if bins < 1:
         raise DomainError("bins must be >= 1")
     records = _collect_zeros(None, count, tol)

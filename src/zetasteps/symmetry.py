@@ -160,18 +160,16 @@ def frame_of(t: float) -> SymmetryFrame:
     return SymmetryFrame(t=t, n_p=n_p, p=p, degenerate_p=degenerate)
 
 
-def big_q(s: Argument, variant: str = "continuous") -> complex:
-    """The symmetry factor Q(s) = |Q| * exp(2i*Theta).
-
-    Magnitude (t/2pi)**(1/2-sigma) for the continuous variant (default) or
-    n_p**(1-2*sigma) for the discrete one used in conjugate-region checks.
-    """
+def big_q(s: Argument) -> complex:
+    """The symmetry factor Q(s) = |Q| * exp(2i*Theta), of magnitude
+    (t/2pi)**(1/2-sigma); `SymmetryFrame.q_magnitude` also gives the
+    discrete n_p**(1-2*sigma) of the conjugate-region checks."""
     t = s.t
     if t < TWOPI:
         raise DomainError(f"big_q needs t >= 2*pi, got {t}")
     hi, lo = _theta_dd(t)
     check_reducible(2.0 * hi)  # refused from t = 7.66e8 on
-    mag = frame_of(t).q_magnitude(s.sigma, variant)
+    mag = frame_of(t).q_magnitude(s.sigma)
     phase = mod_twopi(-2.0 * hi, -2.0 * lo)
     return mag * complex(math.cos(phase), math.sin(phase))
 

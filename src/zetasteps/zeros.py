@@ -1,14 +1,15 @@
 """Gram points, Z sign-change scanning, zero refinement and statistics.
 
 The scan evaluates the Riemann-Siegel rs_z (main sum plus Gabcke's C0-C4
-remainder) in one batch on a per-Gram-interval grid.  All brackets are then
-refined together by a lockstep Illinois solve on rs_z, and the reference
-oracle certifies each estimate c by a sign change across [c - tol/2,
-c + tol/2].  Where it does not, one secant step on the two oracle values
-and a second check follow, and only then the fallback: widen the scan
-bracket until the oracle changes sign across it and solve on the oracle.
-Every reported ordinate is a true zero of zeta(1/2 + it) to the requested
-tolerance.
+remainder) in one batch at the Gram points, then halves the steps of each
+Gram block with fewer sign changes than Gram intervals (Rosser's rule).
+All brackets are refined together by a lockstep Illinois solve on rs_z,
+and the reference oracle certifies each estimate c by a sign change across
+[c - tol/2, c + tol/2].  Where it does not, one secant step on the two
+oracle values and a second check follow, and only then the fallback: widen
+the scan bracket until the oracle changes sign across it and solve on the
+oracle.  Every reported ordinate is a true zero of zeta(1/2 + it) to the
+requested tolerance.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ _GRAM_TOL = 1e-10
 _GRAM_MAX_ITER = 50
 _T_SCAN_FLOOR = 10.0
 _TOL_FLOOR = 1e-10
-_SUBDIVISIONS_PER_GRAM = 8  # scan grid steps per Gram interval
-SCAN_GUARD = 1_000_000  # Gram intervals per scan, about 2.3 kB each (2.3 GB)
+_ROSSER_LEVELS = 5  # step halvings of a short Gram block
+SCAN_GUARD = 1_000_000  # Gram intervals per scan, about 0.9 kB each (0.9 GB)
 
 
 @dataclass(frozen=True)
@@ -104,28 +105,23 @@ def gram_indices(t_lo: float, t_hi: float) -> range:
     return range(n, _gram_index_below(t_hi) + 1)
 
 
-def _brackets_on_grid(grid: np.ndarray, values: np.ndarray):
-    """(lo, hi) per exact zero (lo = hi) or sign change of values on grid."""
-    v0, v1 = values[:-1], values[1:]
-    zero = v0 == 0.0
-    idx = np.flatnonzero(zero | (v0 * v1 < 0.0))
-    his = np.where(zero[idx], grid[idx], grid[idx + 1])
-    return list(zip(grid[idx].tolist(), his.tolist()))
-
-
 def scan_z_sign_changes(
     t_lo: float,
     t_hi: float,
     z: Callable[[np.ndarray], np.ndarray] = rs_z,
 ) -> List[Tuple[float, float]]:
-    """Sign-change brackets of Z on a per-Gram-interval grid.
+    """Sign-change brackets of Z in [t_lo, t_hi], counted by Rosser's rule.
 
-    z maps an ndarray of ordinates to an ndarray of values; it is called
-    once on the whole grid.  A Gram interval whose running count falls >= 2
-    behind the smooth estimate is re-scanned at 4x density (close pairs,
-    Gram-law breaks), one small call of z each.  A range of more than
-    SCAN_GUARD Gram intervals raises ResourceGuardError before any Gram
-    point is computed.
+    z maps an ndarray of ordinates to an ndarray of values.  Its first call
+    takes the Gram points g_{a-1} .. g_{b+1} around the range, with t_lo and
+    t_hi (below g_0, t_lo stands in for g_{-1}).  Good points g_n, where
+    (-1)**n Z(g_n) > 0, and the two outermost points end Gram blocks; a
+    block of k Gram intervals should hold k sign changes (Rosser, Yohe &
+    Schoenfeld 1968).  Short blocks halve their steps up to _ROSSER_LEVELS
+    times, one call of z per level, and each block keeps the brackets of
+    the first level that meets its count, else of the last.  A range of
+    more than SCAN_GUARD Gram intervals raises ResourceGuardError before
+    any Gram point is computed.
     """
     if t_lo < TWOPI:
         raise DomainError(f"scan needs t_lo >= 2*pi, got {t_lo}")
@@ -134,25 +130,36 @@ def scan_z_sign_changes(
     intervals = (rs_theta(t_hi) - rs_theta(max(t_lo, _T_SCAN_FLOOR))) / math.pi
     if intervals > SCAN_GUARD:
         raise ResourceGuardError(f"scan of {intervals:.3g} Gram intervals exceeds {SCAN_GUARD}")
-    inner = (gram_point(n).t for n in gram_indices(t_lo, t_hi))
-    edges = [t_lo, *(g for g in inner if t_lo < g < t_hi), t_hi]
-    k = _SUBDIVISIONS_PER_GRAM
-    grid = np.linspace(edges[:-1], edges[1:], k + 1, axis=1)
-    grid = np.append(grid[:, :-1], t_hi)  # neighbours share their edge
-    coarse = _brackets_on_grid(grid, z(grid))
-    cuts = np.searchsorted([lo for lo, _ in coarse], edges).tolist()
+    inner = gram_indices(t_lo, t_hi)
+    ns = range(max(inner.start - 1, 0), inner.stop + 1)
+    sign = {t_lo: 0 if inner.start else -1, t_hi: 0}  # below g_0, t_lo is g_{-1}
+    sign.update((gram_point(n).t, 1 - 2 * (n % 2)) for n in ns)  # (-1)**n at g_n
+    x, sign = np.array(sorted(sign.items())).T
+    v = z(x)
+    good = sign * v > 0.0
+    good[[0, -1]] = True
+    need = np.diff(np.cumsum(sign != 0)[good])  # Gram intervals per block
+    block = np.cumsum(good[:-1]) - 1  # the block of each grid step
+    x, v = np.stack([x[:-1], x[1:]], axis=1), np.stack([v[:-1], v[1:]], axis=1)
     brackets: List[Tuple[float, float]] = []
-    found = 0
-    base = zero_count_main(max(t_lo, _T_SCAN_FLOOR + 5.0))
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        got = coarse[cuts[i]:cuts[i + 1]]
-        expected = (zero_count_main(hi) - base) if hi > 10.5 else 0.0
-        if (found + len(got)) - expected <= -2.0:
-            fine = np.linspace(lo, hi, 4 * k + 1)
-            got = _brackets_on_grid(fine, z(fine))
-        brackets.extend(got)
-        found += len(got)
-    return brackets
+    for level in range(_ROSSER_LEVELS + 1):
+        if level:  # twice the steps per row; z fills the new, odd columns
+            x = np.linspace(x[:, 0], x[:, -1], 2 * x.shape[1] - 1, axis=1)
+            fine = np.empty_like(x)
+            fine[:, ::2], fine[:, 1::2] = v, z(x[:, 1::2].ravel()).reshape(len(x), -1)
+            v = fine
+        v0, v1 = v[:, :-1], v[:, 1:]
+        zero = v0 == 0.0
+        change = zero | (v0 * v1 < 0.0)
+        found = np.bincount(block, change.sum(axis=1), minlength=len(need))
+        done = (found >= need)[block] | (level == _ROSSER_LEVELS)
+        r, i = np.nonzero(change & done[:, None])
+        his = np.where(zero[r, i], x[r, i], x[r, i + 1])
+        brackets.extend(zip(x[r, i].tolist(), his.tolist()))
+        x, v, block = x[~done], v[~done], block[~done]
+        if not len(block):
+            break
+    return sorted((lo, hi) for lo, hi in brackets if t_lo <= lo and hi <= t_hi)
 
 
 def refine_zero(

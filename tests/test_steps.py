@@ -49,7 +49,7 @@ class TestReducedPhase:
         assert reduced_phase(0.0, 5.0) == 0.0
 
     def test_large_t_matches_oracle(self):
-        assert abs(reduced_phase(1e6, 2.0) - mp_reduced_phase(1e6, 2.0)) < 1e-9
+        assert abs(reduced_phase(1e6, 2.0) - mp_reduced_phase(1e6, 2.0)) < 1e-13
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -62,7 +62,7 @@ class TestReducedPhase:
         err = abs(got - want)
         err = min(err, TWOPI - err)  # wrap-around at the seam
         assert 0.0 <= got < TWOPI
-        assert err < 1e-9
+        assert err < 1e-13
 
 
 class TestReductionLimit:

@@ -198,8 +198,9 @@ class TestBigQ:
         assert abs(q) == pytest.approx(1000.0, rel=1e-12)
 
     def test_magnitude_discrete(self):
-        q = big_q(Argument(0.0, TWOPI * 1e6), variant="discrete")
-        assert abs(q) == pytest.approx(1000.0, rel=1e-12)
+        assert frame_of(TWOPI * 1e6).q_magnitude(0.0, "discrete") == pytest.approx(
+            1000.0, rel=1e-12
+        )
 
     def test_phase_is_minus_two_theta(self):
         t = 5000.0

@@ -85,8 +85,9 @@ class TestGramIndices:
 
     @pytest.mark.parametrize("n, m", [(0, 4), (3, 40), (1000, 1003)])
     def test_scan_between_gram_points(self, n, m):
-        # one grid of 8 steps per Gram interval: an end that is a Gram point
-        # must not give a zero-width interval (a repeated grid point)
+        # the first grid runs over the Gram points g_{n-1} .. g_{m+1} (from
+        # g_0 when n = 0): an end that is a Gram point must not give a
+        # zero-width interval (a repeated grid point)
         grids = []
 
         def z(ts):
@@ -95,9 +96,11 @@ class TestGramIndices:
 
         scan_z_sign_changes(gram_point(n).t, gram_point(m).t, z)
         grid = grids[0]
-        assert len(grid) == 8 * (m - n) + 1
         assert np.all(np.diff(grid) > 0.0)
-        assert grid[0] == gram_point(n).t and grid[-1] == gram_point(m).t
+        want = [gram_point(k).t for k in range(max(n - 1, 0), m + 2)]
+        assert grid.tolist() == want
+        assert grid.tolist().count(gram_point(n).t) == 1
+        assert grid.tolist().count(gram_point(m).t) == 1
 
 
 class TestScan:
@@ -116,6 +119,32 @@ class TestScan:
     def test_single_zero_between_first_gram_points(self):
         g0, g1 = gram_point(0).t, gram_point(1).t
         assert len(scan_z_sign_changes(g0, g1)) == 1
+
+    # Gram blocks that hold close pairs (5229.2-5229.5) and the Lehmer pair
+    # near 7005.06: a grid of 8 steps per Gram interval missed two zeros in
+    # each of the wider windows and two of the three in the narrow one
+    @pytest.mark.parametrize("window", [(5220.0, 5240.0), (7000.0, 7010.0), (7004.0, 7006.5)])
+    def test_rosser_blocks_count_every_zero(self, window):
+        records = find_zeros(*window)
+        assert len(records) == mpmath.nzeros(window[1]) - mpmath.nzeros(window[0])
+        for rec in records:
+            assert mpmath.siegelz(rec.t - 1e-6) * mpmath.siegelz(rec.t + 1e-6) < 0
+
+    @pytest.mark.parametrize("window", [(15.0, 30.0), (10.0, 2000.0), (7004.0, 7006.5)])
+    def test_at_most_six_calls(self, window):
+        # one call on the Gram grid, then one per halving of the short
+        # blocks; the block [15, g_0] counts one Gram interval but holds no
+        # zero (the first is at 14.13), so it takes every halving
+        calls = []
+
+        def z(ts):
+            calls.append(len(ts))
+            return rs_z(ts)
+
+        scan_z_sign_changes(*window, z)
+        assert len(calls) <= 6
+        if window[0] == 15.0:
+            assert len(calls) == 6
 
     def test_empty_range(self):
         assert scan_z_sign_changes(20.0, 20.0) == []
@@ -333,7 +362,7 @@ class TestOneStageRefine:
         # only 1e-7 accurate, take a secant step and two more
         assert 2 * len(records) <= found["oracle"] <= 3 * len(records)
         assert found["rs_scan"] > 0 and found["rs_scan"] + found["rs_other"] <= 40
-        rows = list(export_zeros(t_hi=t_hi, workers=1))
+        rows = list(export_zeros(t_hi=t_hi))
         assert calls["oracle"] == 2 * found["oracle"]  # the search again, nothing more
         assert [r[4] for r in rows] == [r.residual for r in records]
         monkeypatch.undo()

@@ -130,16 +130,21 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
     )
 
 
+def em_paper_domain(s: Argument) -> None:
+    """eval_em_paper's domain: sigma in (0, 1.5) and |t| >= 50."""
+    if not (0.0 < s.sigma < 1.5):
+        raise DomainError(f"eval_em_paper needs sigma in (0, 1.5), got {s.sigma}")
+    if abs(s.t) < 50.0:
+        raise DomainError(f"eval_em_paper needs |t| >= 50, got {s.t}")
+
+
 def eval_em_paper(s: Argument) -> EvalResult:
     """First algorithm: Dirichlet sum to N = [t/pi] with the half-step and
     the scroll-center correction (sigma + i*dt)/(4 N**(s+1))."""
+    em_paper_domain(s)
     if s.t < 0.0:
         res = eval_em_paper(Argument(s.sigma, -s.t))
         return replace(res, value=res.value.conjugate())
-    if not (0.0 < s.sigma < 1.5):
-        raise DomainError(f"eval_em_paper needs sigma in (0, 1.5), got {s.sigma}")
-    if s.t < 50.0:
-        raise DomainError(f"eval_em_paper needs t >= 50, got {s.t}")
     n = int(math.floor(s.t / math.pi))
     dt = s.t - math.pi * n
     head = partial_sum(1, n, s)

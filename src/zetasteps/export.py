@@ -1,20 +1,21 @@
 """File emitters reproducing the paper-style figures as machine-readable
 rows (CSV or JSON-lines).
 
-Every export is a deterministic generator of tuples; the writers render
-numbers with 15 significant digits so identical inputs give byte-identical
-files.
+Every export is a deterministic generator of tuples; `write_rows` renders
+them with one printf template (%.15g for numbers) so identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
 from .errors import DomainError, ResourceGuardError
-from .evaluators import eval_em_paper
+from .evaluators import em_paper_domain, eval_em_paper
 from .steps import Argument, phase_blocks, phase_diffs
 from .symmetry import (
     conj_region,
@@ -67,42 +68,45 @@ STEPPLOT_ROW_GUARD = 10_000_000
 SURFACE_GRID_GUARD = 1_000_000
 
 
-def _token(v, json: bool = False) -> str:
-    """One value of a row: an integer, a string (quoted in JSON) or a float
-    to 15 significant digits (NaN is null in JSON)."""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return '"' + v + '"' if json else v
-    x = float(v)
-    if json and math.isnan(x):
-        return "null"
-    return f"{x:.15g}"
-
-
 def write_rows(
     stream: TextIO,
     header: Sequence[str],
     rows: Iterable[Tuple],
     fmt: str = "csv",
 ) -> int:
-    """Stream rows out; returns the number of data rows written."""
-    count = 0
-    if fmt == "csv":
-        stream.write(",".join(header) + "\n")
-        for row in rows:
-            stream.write(",".join(_token(v) for v in row) + "\n")
-            count += 1
-    elif fmt == "json-lines":
-        for row in rows:
-            body = ",".join(
-                f'"{k}":{_token(v, json=True)}' for k, v in zip(header, row)
-            )
-            stream.write("{" + body + "}\n")
-            count += 1
-    else:
+    """Stream rows out; returns the number of data rows written.
+
+    One printf template, built from the header and the first row, renders
+    every row: a str value is %s (quoted in JSON), any other value %.15g,
+    which prints -0, inf, nan, subnormals, numpy scalars and True as
+    f"{float(v):.15g}" does.  Integers of 1e15 or more would print as
+    1e+15; no column comes near that (n <= TABLE_GUARD = 1e8).  Every row
+    must be a tuple with its first row's column types (string or number).
+    JSON lines write NaN as null; CSV writes its header even for zero rows.
+    """
+    if fmt not in ("csv", "json-lines"):
         raise DomainError(f"unknown format {fmt!r} (csv or json-lines)")
+    json = fmt == "json-lines"
+    if not json:
+        stream.write(",".join(header) + "\n")
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return 0
+    quote = '"' if json else ""
+    cells = [quote + "%s" + quote if isinstance(v, str) else "%.15g" for v in first]
+    if json:
+        cells = ['"%s":%s' % (k.replace("%", "%%"), c) for k, c in zip(header, cells)]
+    template = ("{%s}\n" if json else "%s\n") % ",".join(cells)
+    for count, row in enumerate(itertools.chain((first,), rows), 1):
+        text = template % row
+        stream.write(text.replace('":nan', '":null') if json else text)
     return count
+
+
+def _grid(lo: float, hi: float, k: int) -> List[float]:
+    """k evenly spaced points from lo to hi (lo alone when k = 1)."""
+    return [lo + (hi - lo) * i / max(k - 1, 1) for i in range(k)]
 
 
 def export_stepplot(s: Argument, decimation: int = 1) -> Iterator[Tuple]:
@@ -145,8 +149,7 @@ def export_limacon(
         raise DomainError("limacon needs samples >= 2")
     if not t_lo < t_hi:
         raise DomainError("need t_lo < t_hi")
-    grid = [t_lo + (t_hi - t_lo) * i / (samples - 1) for i in range(samples)]
-    tagged = [(t, "sample") for t in grid]
+    tagged = [(t, "sample") for t in _grid(t_lo, t_hi, samples)]
     tagged += [(gram_point(n).t, "gram") for n in gram_indices(t_lo, t_hi)]
     tagged.sort(key=lambda item: (item[0], item[1] == "sample"))
     for t, tag in tagged:
@@ -170,10 +173,9 @@ def export_surface(
         raise ResourceGuardError(
             f"surface grid exceeds {SURFACE_GRID_GUARD} points"
         )
-    for i in range(n_sigma):
-        sigma = sigma_lo + (sigma_hi - sigma_lo) * i / (n_sigma - 1)
-        for j in range(n_t):
-            t = t_lo + (t_hi - t_lo) * j / (n_t - 1)
+    ts = _grid(t_lo, t_hi, n_t)
+    for sigma in _grid(sigma_lo, sigma_hi, n_sigma):
+        for t in ts:
             p_s, qp = symmetric_parts(Argument(sigma, t))
             yield (sigma, t, abs(p_s), abs(qp))
 
@@ -182,22 +184,18 @@ def export_loops(
     sigma_list: Sequence[float], t_lo: float, t_hi: float, samples: int
 ) -> Iterator[Tuple]:
     """zeta trajectories via the first (Euler-Maclaurin) algorithm, one
-    block of rows per sigma."""
+    block of rows per sigma.  Every sigma is checked at both ends of the
+    grid first; ends of one sign bound every point between them."""
     if samples < 1:
         raise DomainError("loops needs samples >= 1")
-    for sigma in sigma_list:
-        for i in range(samples):
-            if samples == 1:
-                t = t_lo
-            else:
-                t = t_lo + (t_hi - t_lo) * i / (samples - 1)
-            z = eval_em_paper(Argument(sigma, t)).value
-            yield (sigma, t, z.real, z.imag)
-
-
-def _zero_rows(records: Sequence[ZeroRecord]) -> Iterator[Tuple]:
-    for rec in records:
-        yield (rec.ordinal, rec.t, rec.gram_index, rec.scaled_offset, rec.residual)
+    if t_lo * t_hi < 0.0:
+        raise DomainError("loops needs t_lo and t_hi of one sign")
+    ts = _grid(t_lo, t_hi, samples)
+    for sigma, t in itertools.product(sigma_list, (ts[0], ts[-1])):
+        em_paper_domain(Argument(sigma, t))
+    for sigma, t in itertools.product(sigma_list, ts):
+        z = eval_em_paper(Argument(sigma, t)).value
+        yield (sigma, t, z.real, z.imag)
 
 
 def export_zeros(
@@ -207,8 +205,8 @@ def export_zeros(
     t_lo: float = 10.0,
 ) -> Iterator[Tuple]:
     """Located zeros in [t_lo, t_hi] with Gram offsets and oracle residuals."""
-    records = _collect_zeros(t_hi, count, tol, t_lo)
-    return _zero_rows(records)
+    for rec in _collect_zeros(t_hi, count, tol, t_lo):
+        yield (rec.ordinal, rec.t, rec.gram_index, rec.scaled_offset, rec.residual)
 
 
 def _collect_zeros(
@@ -225,18 +223,14 @@ def _collect_zeros(
         # one zero per Gram interval on average; pad a little
         first = int(zero_count_main(max(t_lo, 10.0)))
         t_hi = gram_point(first + count + max(5, count // 20)).t
-    records = find_zeros(t_lo, t_hi, tol=tol)
-    if count is not None:
-        records = records[:count]
-    return records
+    return find_zeros(t_lo, t_hi, tol=tol)[:count]
 
 
 def export_histogram(count: int, bins: int, tol: float = 1e-8) -> Iterator[Tuple]:
     """Gram-offset histogram of the first `count` zeros."""
     if bins < 1:
         raise DomainError("bins must be >= 1")
-    records = _collect_zeros(None, count, tol)
-    offsets = gram_offsets(records)
+    offsets = gram_offsets(_collect_zeros(None, count, tol))
     centers, counts = histogram(offsets, bins)
     for c, k in zip(centers, counts):
         yield (float(c), int(k))
@@ -251,24 +245,15 @@ def export_conjugate(
     s: Argument, n_lo: int = 1, n_hi: Optional[int] = None
 ) -> Iterator[Tuple]:
     """Conjugate-region report: boundaries, direct and predicted sums."""
-    frame = frame_of(s.t)
     if n_hi is None:
-        n_hi = min(frame.n_p, 10)
+        n_hi = min(frame_of(s.t).n_p, 10)
+    conj_region(n_lo, s.t)  # both ends are checked before the first row
+    conj_region(n_hi, s.t)
     for n in range(n_lo, n_hi + 1):
         region = conj_region(n, s.t)
         direct = conj_sum_direct(n, s)
         pred = conj_sum_predicted(n, s)
         rel = abs(direct) / abs(pred.value) - 1.0 if pred.value != 0 else math.nan
-        yield (
-            n,
-            region.N_lo,
-            region.N_center,
-            region.N_hi,
-            region.width,
-            direct.real,
-            direct.imag,
-            pred.value.real,
-            pred.value.imag,
-            rel,
-            int(pred.accuracy_unguaranteed),
-        )
+        yield (n, region.N_lo, region.N_center, region.N_hi, region.width,
+               direct.real, direct.imag, pred.value.real, pred.value.imag,
+               rel, int(pred.accuracy_unguaranteed))

@@ -272,14 +272,13 @@ def find_zeros(
     t_lo: float,
     t_hi: float,
     tol: float = 1e-8,
-    certify: bool = False,
     workers: int = 1,
 ) -> List[ZeroRecord]:
     """Scan with rs_z, solve every bracket on rs_z, certify on the oracle.
 
     Everything runs in the calling thread; `workers` is accepted and
     ignored.  Each record carries the oracle |Z| at its ordinate as
-    `residual`; certify=True checks it is < 1e-5.
+    `residual`.
 
     Known defect: for t_lo > 14 the first ordinal is
     round(zero_count_main(t_lo)), which ignores S(t) and can be one too
@@ -302,12 +301,6 @@ def find_zeros(
         if records and rec.t - records[-1].t <= 10.0 * tol:
             continue
         records.append(replace(rec, ordinal=offset + len(records) + 1))
-    if certify:
-        for rec in records:
-            if rec.residual >= 1e-5:
-                raise ConvergenceError(
-                    f"zero at t={rec.t} failed certification (|zeta| = {rec.residual:g})"
-                )
     return records
 
 

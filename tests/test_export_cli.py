@@ -9,9 +9,11 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import zetasteps
+from zetasteps import export as ex
 from zetasteps import (
     Argument,
     DomainError,
@@ -24,7 +26,7 @@ from zetasteps import (
     partial_sum,
     write_rows,
 )
-from zetasteps.cli import EVAL_HEADER, main
+from zetasteps.cli import EVAL_HEADER, build_parser, main
 from zetasteps.export import (
     CONJUGATE_HEADER,
     GRAM_HEADER,
@@ -53,10 +55,45 @@ CHILD_ENV = {
 }
 
 
+# every subcommand at the README's arguments, made small
+README_RUNS = [
+    ("eval", "--sigma", "0.5", "--t", "1000", "--algorithm", "reference"),
+    ("zeros", "--t-lo", "10", "--t-hi", "100"),
+    ("gram", "--t-lo", "10", "--t-hi", "100"),
+    ("conjugate", "--t", "62831.85", "--n-lo", "2", "--n-hi", "5"),
+    ("stepplot", "--t", "62831.85", "--decimation", "10"),
+    ("limacon", "--t-lo", "1419", "--t-hi", "1424", "--samples", "50"),
+    ("surface", "--t-lo", "124", "--t-hi", "129", "--n-sigma", "5", "--n-t", "11"),
+    ("loops", "--sigma", "0.5,0.505", "--t-lo", "2000", "--t-hi", "2010", "--samples", "50"),
+    ("histogram", "--count", "100", "--bins", "21"),
+]
+
+
 def render(header, rows, fmt="csv"):
     buf = io.StringIO()
     write_rows(buf, header, rows, fmt)
     return buf.getvalue()
+
+
+def token_rule(v, json=False):
+    """The per-value rule write_rows replaced, kept as the reference."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, str):
+        return '"' + v + '"' if json else v
+    x = float(v)
+    if json and math.isnan(x):
+        return "null"
+    return f"{x:.15g}"
+
+
+def render_by_token_rule(header, rows, fmt):
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(token_rule(v) for v in row) for row in rows]
+    else:
+        lines = ["{" + ",".join(f'"{k}":{token_rule(v, json=True)}' for k, v in zip(header, row))
+                 + "}" for row in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 class TestWriters:
@@ -78,6 +115,57 @@ class TestWriters:
     def test_unknown_format(self):
         with pytest.raises(DomainError):
             render(("a",), [(1,)], fmt="xml")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_template_matches_token_rule(self, fmt):
+        rnd = random.Random(20261018)
+        numbers = [
+            0, 1, -1, 7, -123456789, 999_999_999_999_999, -999_999_999_999_999,
+            np.int64(-42), np.int64(10**14), True, False,
+            0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+            5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300, 1.0 / 3.0,
+            np.float64(-2.5e-7), np.float64(math.nan), np.float64(123456.789),
+        ]
+        strings = ["", "sample", "gram", "nan", "a%sb", "x|y"]
+        header = ("i", "tag", "x", "y", "note", "z")
+        rows = []
+        for _ in range(500):
+            row = [rnd.choice(numbers) for _ in header]
+            row[1], row[4] = rnd.choice(strings), rnd.choice(strings)
+            row[2] = rnd.uniform(-1.0, 1.0) * 10.0 ** rnd.randint(-320, 300)
+            rows.append(tuple(row))
+        assert render(header, rows, fmt) == render_by_token_rule(header, rows, fmt)
+        assert render(header, [], fmt) == render_by_token_rule(header, [], fmt)
+        assert render(header, [], fmt) == ("i,tag,x,y,note,z\n" if fmt == "csv" else "")
+
+    @pytest.mark.parametrize("argv", README_RUNS)
+    def test_rows_keep_first_row_column_types(self, argv):
+        # write_rows' template holds only if every row has the first row's
+        # str-or-number column types
+        args = build_parser().parse_args(list(argv))
+        kinds = [tuple(isinstance(v, str) for v in row) for row in args.rows(args)]
+        assert kinds and len(kinds[0]) == len(args.header)
+        assert set(kinds) == {kinds[0]}
+
+    @pytest.mark.parametrize("argv", README_RUNS)
+    def test_csv_and_json_lines_carry_the_same_tokens(self, argv, capsys):
+        outs = {}
+        for fmt in ("csv", "json-lines"):
+            assert main([*argv, "--format", fmt]) == 0
+            outs[fmt] = capsys.readouterr().out.splitlines()
+        header = outs["csv"][0].split(",")
+        assert len(outs["csv"]) == len(outs["json-lines"]) + 1
+        for line, js in zip(outs["csv"][1:], outs["json-lines"]):
+            obj = json.loads(js)
+            cells = [
+                f'"{tok}"' if isinstance(obj[k], str) else "null" if tok == "nan" else tok
+                for k, tok in zip(header, line.split(","))
+            ]
+            assert js == "{" + ",".join(f'"{k}":{c}' for k, c in zip(header, cells)) + "}"
+        if argv[0] == "zeros":
+            # g_0 > 14.13, so the first zero has no Gram offset
+            assert outs["csv"][1].split(",")[3] == "nan"
+            assert json.loads(outs["json-lines"][0])["scaled_offset"] is None
 
 
 class TestStepplot:
@@ -339,6 +427,10 @@ class TestCli:
             ("limacon", "--t-lo", "20", "--t-hi", "10", "--samples", "5"),
             ("surface", "--t-lo", "20", "--t-hi", "30", "--n-sigma", "1"),
             ("loops", "--t-lo", "20", "--t-hi", "30", "--samples", "0"),
+            ("conjugate", "--t", "1000", "--n-lo", "1", "--n-hi", "50"),  # n_p = 12
+            ("loops", "--sigma", "0.5,2.0", "--t-lo", "100", "--t-hi", "101", "--samples", "3"),
+            ("loops", "--t-lo", "60", "--t-hi", "40", "--samples", "3"),
+            ("loops", "--t-lo", "-100", "--t-hi", "100", "--samples", "3"),
         ):
             assert self.run(*argv) == 2
             captured = capsys.readouterr()
@@ -366,17 +458,31 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ("conjugate", "--t", "1000", "--n-lo", "1", "--n-hi", "50"),  # n_p = 12
-        ("loops", "--sigma", "0.5,2.0", "--t-lo", "100", "--t-hi", "101", "--samples", "3"),
-        ("loops", "--t-lo", "60", "--t-hi", "40", "--samples", "3"),
+        ("limacon", "--t-lo", "100", "--t-hi", "101", "--samples", "3"),
+        ("surface", "--t-lo", "100", "--t-hi", "101", "--n-sigma", "2", "--n-t", "2"),
+        ("loops", "--t-lo", "100", "--t-hi", "101", "--samples", "3"),
     ])
-    def test_late_domain_error_leaves_no_file(self, argv, tmp_path, capsys):
-        # each raises after its first row
+    def test_late_domain_error_leaves_no_file(self, argv, tmp_path, monkeypatch, capsys):
+        # every argument passes the exporters' checks, so the row function
+        # is made to raise from its second call: after the first row
+        name = "eval_em_paper" if argv[0] == "loops" else "symmetric_parts"
+        real, calls = getattr(ex, name), []
+
+        def fails_late(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise DomainError("injected after the first row")
+            return real(*args)
+
+        monkeypatch.setattr(ex, name, fails_late)
         out = tmp_path / "out.csv"
         assert self.run(*argv, "--out", str(out)) == 2
+        assert len(calls) == 2
         assert list(tmp_path.iterdir()) == []
         out.write_bytes(b"kept\n")
+        calls.clear()
         assert self.run(*argv, "--out", str(out)) == 2
+        assert len(calls) == 2
         assert out.read_bytes() == b"kept\n"
         assert list(tmp_path.iterdir()) == [out]
 

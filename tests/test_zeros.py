@@ -241,8 +241,9 @@ class TestCounting:
 
 class TestPipeline:
     def test_zeros_are_certified_by_oracle(self):
-        zeros = find_zeros(10.0, 60.0, certify=True)
+        zeros = find_zeros(10.0, 60.0)
         for rec in zeros:
+            assert rec.residual < 1e-5
             assert abs(eval_reference(Argument(0.5, rec.t)).value) < 1e-5
 
     def test_no_duplicates(self):

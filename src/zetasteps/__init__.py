@@ -46,7 +46,6 @@ from .evaluators import (
     zeta_on_line,
 )
 from .zeros import (
-    GramPoint,
     ZeroRecord,
     find_zeros,
     gram_offsets,
@@ -77,7 +76,6 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "EvalResult",
-    "GramPoint",
     "PredictedSum",
     "ResourceGuardError",
     "SymmetryFrame",

@@ -162,11 +162,13 @@ def dd_log(x: float):
 
 # ---------------------------------------------------------------------------
 # dd log table for integers 1..n, grown on demand by the same kernel in
-# fixed chunks (the chunk bounds the temporaries).  The (hi, lo) pair is
-# published as one tuple, so a reader on another thread never sees the
-# arrays of two different growths.
+# fixed chunks (the chunk bounds the temporaries) to a whole number of
+# _LOG_STEP entries, so slowly rising requests grow it rarely.  The (hi,
+# lo) pair is published as one tuple, so a reader on another thread never
+# sees the arrays of two different growths.
 
 _LOG_CHUNK = 1 << 14
+_LOG_STEP = 1 << 10
 _log = (np.zeros(2), np.zeros(2))
 
 
@@ -177,6 +179,7 @@ def log_table(nmax: int):
     size = len(old_hi)
     if nmax < size:
         return old_hi, old_lo
+    nmax |= _LOG_STEP - 1
     hi = np.empty(nmax + 1)
     lo = np.empty(nmax + 1)
     hi[:size] = old_hi

@@ -30,7 +30,6 @@ from .symmetry import (
 )
 
 FLAG_DEGENERATE_P = "degenerate_p"
-FLAG_ACCURACY_UNGUARANTEED = "accuracy_unguaranteed"
 
 
 @dataclass(frozen=True)
@@ -111,17 +110,12 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
     sc = s.complex
     n = max(32, int(math.ceil(0.7 * (abs(s.t) + abs(s.sigma)))))
     best_err = math.inf
-    best = None
-    terms = 0
     for _ in range(8):
         head = partial_sum(1, n - 1, s)  # first: TABLE_GUARD outranks the phase limit
         tail, err, used = _em_tail(sc, reduced_phase(s.t, n), n, target_abs_error)
-        if err < best_err:
-            best = head + tail
-            best_err = err
-            terms = (n - 1) + used
-        if best_err <= target_abs_error:
-            return EvalResult(best, "reference", terms, frozenset(), best_err)
+        if err <= target_abs_error:
+            return EvalResult(head + tail, "reference", (n - 1) + used, frozenset(), err)
+        best_err = min(best_err, err)
         n *= 2
     raise ToleranceError(
         f"eval_reference could not reach {target_abs_error:g} "
@@ -263,14 +257,13 @@ def rs_z(t):
     r = sqrt_t_over_twopi(ts)
     n_p = np.floor(r).astype(np.intp)
     theta = _theta_mod_unchecked(ts)
-    head = np.zeros(ts.size)
-    rows = max(1, _BLOCK // int(n_p.max(initial=1)))  # rows x n_max <= _BLOCK
+    head = np.empty(ts.size)
+    rows = max(1, _BLOCK // int(n_p.max(initial=1)))  # rows x n_max <= _BLOCK: one block
     for i in range(0, ts.size, rows):
         part = slice(i, i + rows)
-        for lo, hi, phases in phase_blocks(ts[part], 1, int(n_p[part].max())):
-            terms = np.arange(lo, hi + 1.0) ** -0.5 * np.cos(theta[part, None] + phases)
-            last = np.minimum(n_p[part] - lo, hi - lo)
-            head[part] += np.cumsum(terms, axis=1)[np.arange(len(last)), last]
+        ((_, hi, phases),) = phase_blocks(ts[part], 1, int(n_p[part].max()))
+        terms = np.arange(1.0, hi + 1.0) ** -0.5 * np.cos(theta[part, None] + phases)
+        head[part] = np.cumsum(terms, axis=1)[np.arange(len(terms)), n_p[part] - 1]
     sign = np.where(n_p % 2 == 1, 1.0, -1.0)
     out = 2.0 * head + sign * _gabcke(r - n_p - 0.5, 1.0 / r) / np.sqrt(r)
     return out.reshape(t.shape) if isinstance(t, np.ndarray) else float(out[0])
@@ -301,12 +294,12 @@ def zeta_on_line(t: float) -> complex:
     return rs_z(t) * cmath.exp(-1j * _theta_mod_unchecked(t))
 
 
-def z_reference(t: float, target_abs_error: float = 1e-10) -> float:
+def z_reference(t: float) -> float:
     """Z(t) through the reference oracle: Re(exp(i*theta) * zeta(1/2+it)).
 
     The zero solver refines each bracket of the fast rs_z scan on it.
     """
     theta_mod = _theta_mod_unchecked(t)
-    value = eval_reference(Argument(0.5, t), target_abs_error).value
+    value = eval_reference(Argument(0.5, t)).value
     rotated = cmath.exp(1j * theta_mod) * value
     return rotated.real

@@ -150,7 +150,7 @@ def export_limacon(
     if not t_lo < t_hi:
         raise DomainError("need t_lo < t_hi")
     tagged = [(t, "sample") for t in _grid(t_lo, t_hi, samples)]
-    tagged += [(gram_point(n).t, "gram") for n in gram_indices(t_lo, t_hi)]
+    tagged += [(gram_point(n), "gram") for n in gram_indices(t_lo, t_hi)]
     tagged.sort(key=lambda item: (item[0], item[1] == "sample"))
     for t, tag in tagged:
         p_s, qp = symmetric_parts(Argument(sigma, t))
@@ -222,7 +222,7 @@ def _collect_zeros(
     if t_hi is None:
         # one zero per Gram interval on average; pad a little
         first = int(zero_count_main(max(t_lo, 10.0)))
-        t_hi = gram_point(first + count + max(5, count // 20)).t
+        t_hi = gram_point(first + count + max(5, count // 20))
     return find_zeros(t_lo, t_hi, tol=tol)[:count]
 
 
@@ -238,7 +238,7 @@ def export_histogram(count: int, bins: int, tol: float = 1e-8) -> Iterator[Tuple
 
 def export_gram(t_lo: float, t_hi: float) -> Iterator[Tuple]:
     for n in gram_indices(t_lo, t_hi):
-        yield (n, gram_point(n).t)
+        yield (n, gram_point(n))
 
 
 def export_conjugate(

@@ -85,7 +85,7 @@ def phase_blocks(t, a: int, b: int, lookahead: int = 0):
     raised first, then DomainError past the phase limit (check_reducible).
     """
     if b + lookahead > TABLE_GUARD:
-        raise ResourceGuardError(f"log table of {b + lookahead} entries exceeds {TABLE_GUARD}")
+        raise ResourceGuardError(f"log table of {b + lookahead:.3g} entries exceeds {TABLE_GUARD}")
     check_reducible(t * math.log(b + lookahead))
     width, zero = _BLOCK, not isinstance(t, np.ndarray) and t == 0.0
     if isinstance(t, np.ndarray):

@@ -94,13 +94,14 @@ def _theta_dd(t):
     """
     if isinstance(t, np.ndarray):
         ref = np.maximum(np.rint(t), 1.0)
-        log_ref, log1p = _dd_log(ref), np.log1p
+        log_ref, cast = _dd_log(ref), np.asarray
     else:
         ref = float(max(round(t), 1))
-        log_ref, log1p = dd_log(ref), math.log1p
+        log_ref, cast = dd_log(ref), float
     xh, xl = dd_div(t - ref, ref)
     h, l = dd_add(*log_ref, -LOG_TWOPI_E_HI, -LOG_TWOPI_E_LO)
-    h, l = dd_add(h, l, xh, xl + (log1p(xh) - xh))
+    # np.log1p for a float too (math.log1p rounds apart): the array's bits
+    h, l = dd_add(h, l, xh, xl + cast(np.log1p(xh) - xh))
     h, l = dd_mul_double(h, l, 0.5 * t)
     small = 1.0 / (48.0 * t) + 7.0 / (5760.0 * t * t * t)
     return dd_add(h, l, -PI8_HI, small - PI8_LO)

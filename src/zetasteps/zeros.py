@@ -34,12 +34,6 @@ SCAN_GUARD = 1_000_000  # Gram intervals per scan, about 0.9 kB each (0.9 GB)
 
 
 @dataclass(frozen=True)
-class GramPoint:
-    index: int
-    t: float
-
-
-@dataclass(frozen=True)
 class ZeroRecord:
     ordinal: int
     t: float
@@ -50,7 +44,7 @@ class ZeroRecord:
 
 
 @lru_cache(maxsize=100_000)
-def gram_point(N: int) -> GramPoint:
+def gram_point(N: int) -> float:
     """The ordinate g_N with theta_RS(g_N) = N*pi, by Newton iteration to
     |theta_RS(t) - N*pi| <= max(1e-10, 4 ulp(N*pi)): above N*pi = 2**19 the
     rounding of theta itself exceeds 1e-10."""
@@ -72,7 +66,7 @@ def gram_point(N: int) -> GramPoint:
     for _ in range(_GRAM_MAX_ITER):
         resid = rs_theta(t) - target
         if abs(resid) <= tol:
-            return GramPoint(index=N, t=t)
+            return t
         deriv = 0.5 * math.log(t / TWOPI)
         t -= resid / deriv
         if t < 17.1:
@@ -87,12 +81,12 @@ def zero_count_main(T: float) -> float:
 
 def _gram_index_below(t: float) -> int:
     """Largest N with g_N <= t (clamped at -1 for t below g_0)."""
-    if t < gram_point(0).t:
+    if t < gram_point(0):
         return -1
     n = int(math.floor(rs_theta(t) / math.pi))
-    while gram_point(n).t > t:
+    while gram_point(n) > t:
         n -= 1
-    while gram_point(n + 1).t <= t:
+    while gram_point(n + 1) <= t:
         n += 1
     return n
 
@@ -100,7 +94,7 @@ def _gram_index_below(t: float) -> int:
 def gram_indices(t_lo: float, t_hi: float) -> range:
     """Indices n with t_lo <= g_n <= t_hi."""
     n = _gram_index_below(t_lo)
-    if n < 0 or gram_point(n).t < t_lo:
+    if n < 0 or gram_point(n) < t_lo:
         n += 1
     return range(n, _gram_index_below(t_hi) + 1)
 
@@ -133,7 +127,7 @@ def scan_z_sign_changes(
     inner = gram_indices(t_lo, t_hi)
     ns = range(max(inner.start - 1, 0), inner.stop + 1)
     sign = {t_lo: 0 if inner.start else -1, t_hi: 0}  # below g_0, t_lo is g_{-1}
-    sign.update((gram_point(n).t, 1 - 2 * (n % 2)) for n in ns)  # (-1)**n at g_n
+    sign.update((gram_point(n), 1 - 2 * (n % 2)) for n in ns)  # (-1)**n at g_n
     x, sign = np.array(sorted(sign.items())).T
     v = z(x)
     good = sign * v > 0.0
@@ -162,16 +156,12 @@ def scan_z_sign_changes(
     return sorted((lo, hi) for lo, hi in brackets if t_lo <= lo and hi <= t_hi)
 
 
-def refine_zero(
-    bracket: Tuple[float, float],
-    tol: float,
-    z: Callable[[float], float] = z_reference,
-) -> ZeroRecord:
-    """Shrink a sign-change bracket of z below tol by an Illinois solve.
+def refine_zero(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
+    """Shrink a sign-change bracket of the oracle Z below tol (Illinois).
 
-    A bracket no wider than tol gives its midpoint without evaluating z.
+    A bracket no wider than tol gives its midpoint without evaluating Z.
     Otherwise the record holds the final-bracket endpoint with the smaller
-    |z|, which lies within tol of the zero, and that |z| as its residual.
+    |Z|, which lies within tol of the zero, and that |Z| as its residual.
     """
     if tol < _TOL_FLOOR:
         raise DomainError(f"tol must be >= {_TOL_FLOOR:g}")
@@ -180,12 +170,12 @@ def refine_zero(
         raise DomainError("bracket endpoints out of order")
     if hi - lo <= tol:
         return _make_record(0.5 * (lo + hi), (lo, hi))
-    return _solve_one(z, lo, hi, z(lo), z(hi), tol)
+    return _solve_one(lo, hi, z_reference(lo), z_reference(hi), tol)
 
 
-def _solve_one(z, lo, hi, f_lo, f_hi, tol) -> ZeroRecord:
-    """_illinois on one bracket of a scalar z."""
-    x, f = _illinois(np.vectorize(z, otypes=[float]), [lo, hi], [f_lo, f_hi], tol)
+def _solve_one(lo, hi, f_lo, f_hi, tol) -> ZeroRecord:
+    """_illinois on one bracket of the oracle Z."""
+    x, f = _illinois(np.vectorize(z_reference, otypes=[float]), [lo, hi], [f_lo, f_hi], tol)
     return _record(x[:, 0].tolist(), f[:, 0].tolist())
 
 
@@ -231,8 +221,8 @@ def _make_record(t: float, bracket: Tuple[float, float], residual: float = math.
     idx = _gram_index_below(t)
     if idx < 0:
         return ZeroRecord(0, t, bracket, -1, math.nan, residual)
-    g0 = gram_point(idx).t
-    g1 = gram_point(idx + 1).t
+    g0 = gram_point(idx)
+    g1 = gram_point(idx + 1)
     offset = (t - 0.5 * (g0 + g1)) / (0.5 * (g1 - g0))
     return ZeroRecord(0, t, bracket, idx, offset, residual)
 
@@ -249,7 +239,7 @@ def _refine_on_oracle(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
         lo, hi = bracket[0] - h, bracket[1] + h
         f_lo, f_hi = z_reference(lo), z_reference(hi)
         h *= 2.0
-    return _solve_one(z_reference, lo, hi, f_lo, f_hi, tol)
+    return _solve_one(lo, hi, f_lo, f_hi, tol)
 
 
 def _certify(c: float, bracket: Tuple[float, float], tol: float) -> ZeroRecord:

@@ -196,7 +196,7 @@ def test_criterion_6_theta_validation():
 
 
 def test_criterion_7_zero_count():
-    T = gram_point(500).t
+    T = gram_point(500)
     zeros = find_zeros(10.0, T)
     expected = zero_count_main(T)
     ok = abs(len(zeros) - expected) <= 2.0
@@ -204,7 +204,7 @@ def test_criterion_7_zero_count():
 
 
 def test_criterion_8_histogram_shape():
-    zeros = find_zeros(10.0, gram_point(1002).t)[:1000]
+    zeros = find_zeros(10.0, gram_point(1002))[:1000]
     assert len(zeros) == 1000
     offsets = gram_offsets(zeros)
     bins = 21

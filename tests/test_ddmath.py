@@ -134,6 +134,15 @@ def test_log_table_growth_is_chunk_independent(fresh_table):
     assert log_table(n)[0] is twice[0]
 
 
+def test_log_table_grows_in_whole_steps(fresh_table):
+    # one growth serves the next _LOG_STEP - 1 slightly larger requests
+    step = ddmath._LOG_STEP
+    hi, lo = log_table(step + 6)
+    assert len(hi) == len(lo) == 2 * step
+    assert log_table(2 * step - 1)[0] is hi
+    assert len(log_table(2 * step)[0]) == 3 * step
+
+
 def test_log_table_growth_from_threads(fresh_table):
     # The package starts no thread, but a library caller may: every thread
     # must see a complete table however the growths interleave.

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from zetasteps import (
     Argument,
     DomainError,
+    ToleranceError,
     big_q,
     eval_em_paper,
     eval_reference,
@@ -25,7 +26,8 @@ from zetasteps import (
     z_reference,
     zeta_on_line,
 )
-from zetasteps.evaluators import FLAG_DEGENERATE_P, _GABCKE, _gabcke, _remainder_c
+from zetasteps import evaluators
+from zetasteps.evaluators import FLAG_DEGENERATE_P, _BLOCK, _GABCKE, _gabcke, _remainder_c
 
 mpmath.mp.dps = 40
 TWOPI = 2.0 * math.pi
@@ -71,6 +73,19 @@ class TestReference:
             assert 0.0 < res.error_estimate <= target
             mirror = eval_reference(Argument(sigma, -t), target)
             assert mirror.error_estimate == res.error_estimate
+
+    def test_unmet_target_reports_best_error(self, monkeypatch):
+        calls = []
+
+        def stuck_tail(s, phi_n, n, target):
+            calls.append(n)
+            return 0j, 3e-6 if len(calls) % 2 else 2e-6, 4
+
+        monkeypatch.setattr(evaluators, "_em_tail", stuck_tail)
+        with pytest.raises(ToleranceError) as exc:
+            eval_reference(Argument(0.5, 100.0))
+        assert exc.value.best_error == 2e-6
+        assert calls == [71 * 2**k for k in range(8)]  # 8 tries, N doubling from 71
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -204,6 +219,14 @@ class TestGabcke:
                 assert abs(z - float(mpmath.siegelz(t))) < bound, t
                 assert rs_z(float(t)) == z  # bit for bit, float and array
 
+    def test_rs_z_batch_over_row_groups_matches_floats(self):
+        # n_p from 398 to 437: 149-164 rows per phase block, so 600
+        # ordinates span 4-5 row groups, each row read off at its own n_p
+        ts = np.random.default_rng(20261020).uniform(1e6, 1.2e6, 600)
+        assert len(ts) > _BLOCK // frame_of(float(ts.max())).n_p * 3
+        got = rs_z(ts)
+        assert got.tolist() == [rs_z(float(t)) for t in ts]
+
 
 class TestZ:
     def test_first_zero_bracket(self):
@@ -211,7 +234,7 @@ class TestZ:
 
     def test_gram_law_initial_signs(self):
         for n in range(21):
-            g = gram_point(n).t
+            g = gram_point(n)
             assert math.copysign(1.0, rs_z(g)) == (-1.0) ** n
 
     def test_modulus_tracks_oracle(self):

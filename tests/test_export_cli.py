@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -206,8 +207,8 @@ class TestStepplot:
 
 class TestLimacon:
     def test_identity_and_gram_tags(self):
-        lo = gram_point(1000).t - 0.05
-        hi = gram_point(1004).t + 0.05
+        lo = gram_point(1000) - 0.05
+        hi = gram_point(1004) + 0.05
         rows = list(export_limacon(0.5, lo, hi, 20))
         gram_rows = [r for r in rows if r[7] == "gram"]
         assert len(gram_rows) == 5
@@ -313,7 +314,7 @@ class TestGram:
         assert all(200000 <= float(r[1]) <= 200010 for r in rows)
 
     def test_range_ends(self):
-        g = [gram_point(n).t for n in range(6)]
+        g = [gram_point(n) for n in range(6)]
         assert list(export_gram(1.0, 17.0)) == []
         assert [r[0] for r in export_gram(g[1], g[4])] == [1, 2, 3, 4]
         assert [r[0] for r in export_gram(g[1] + 1e-9, g[4] - 1e-9)] == [2, 3]
@@ -348,6 +349,14 @@ class TestCli:
             assert self.run(*argv, "--out", str(out)) == 3
             assert "resource guard" in capsys.readouterr().err
             assert not out.exists()
+        assert table_recorder == []
+
+    def test_table_guard_message_is_short(self, table_recorder, capsys):
+        # a 3.2e307-entry request reads as %.3g, not as a 308-digit integer
+        assert self.run("loops", "--t-lo=1e308", "--t-hi=1.7e308", "--samples", "1") == 3
+        err = capsys.readouterr().err
+        assert "resource guard: log table of 3.18e+307 entries" in err
+        assert not re.search(r"\d{10}", err)
         assert table_recorder == []
 
     @pytest.mark.parametrize("argv", [

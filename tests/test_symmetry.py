@@ -28,7 +28,8 @@ from zetasteps import (
     z_reference,
     zeta_on_line,
 )
-from zetasteps.ddmath import REDUCTION_LIMIT
+from zetasteps.ddmath import REDUCTION_LIMIT, _dd_log
+from zetasteps.symmetry import _theta_dd
 
 mpmath.mp.dps = 40
 TWOPI = 2.0 * math.pi
@@ -152,6 +153,21 @@ class TestThetaContract:
 
         monkeypatch.setattr(sym, "_theta_dd", no_theta)
         assert frame_of(t).n_p == fr.n_p
+
+
+def test_dd_log_and_theta_float_and_array_bits_agree():
+    # One log1p and one log kernel for both branches: seeded integers up to
+    # 2**31, the knot edges m = 1 + (j + 1/2)/64 and their neighbours at
+    # several exponents, and seeded t up to 1.4e9 (near theta's limit).
+    rng = np.random.default_rng(20261018)
+    edges = [math.ldexp(1.0 + (j + 0.5) / 64.0, e) for j in range(64) for e in (-3, 0, 7, 30)]
+    xs = np.concatenate([
+        rng.integers(1, 2**31, 8000).astype(float),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+    ])
+    assert np.array_equal(np.array([_dd_log(float(x)) for x in xs]).T, _dd_log(xs))
+    ts = np.concatenate([rng.uniform(TWOPI, 1.4e9, 40_000), np.exp(rng.uniform(2.0, 21.0, 4000))])
+    assert np.array_equal(np.array([_theta_dd(float(t)) for t in ts]).T, _theta_dd(ts))
 
 
 def t_at_theta(target):

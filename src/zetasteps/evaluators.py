@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import FrozenSet
 
 import numpy as np
@@ -41,24 +40,15 @@ class EvalResult:
     error_estimate: float = math.nan  # bound on |value - zeta(s)|, NaN if none
 
 
-_BERNOULLI = {
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-    12: Fraction(-691, 2730),
-    14: Fraction(7, 6),
-    16: Fraction(-3617, 510),
-    18: Fraction(43867, 798),
-    20: Fraction(-174611, 330),
-    22: Fraction(854513, 138),
-    24: Fraction(-236364091, 2730),
-}
-_BERNOULLI_MAX_K = 12
+# B_2k = numerator / denominator for k = 1..12; an int quotient is correctly
+# rounded, so each B_2k / (2k)! is the nearest float to the exact ratio.
+_BERNOULLI = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730),
+)
+_BERNOULLI_MAX_K = len(_BERNOULLI)
 _B_OVER_FACT = {
-    k: float(_BERNOULLI[2 * k] / math.factorial(2 * k))
-    for k in range(1, _BERNOULLI_MAX_K + 1)
+    k: num / (den * math.factorial(2 * k)) for k, (num, den) in enumerate(_BERNOULLI, 1)
 }
 
 
@@ -112,7 +102,10 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
     best_err = math.inf
     for _ in range(8):
         head = partial_sum(1, n - 1, s)  # first: TABLE_GUARD outranks the phase limit
-        tail, err, used = _em_tail(sc, reduced_phase(s.t, n), n, target_abs_error)
+        # Below t = 1 the tail's 1/(s - 1) would scale up the rounding of a
+        # phase reduced into [0, 2pi); -t log n is small and exact enough.
+        phi = -s.t * math.log(n) if s.t < 1.0 else reduced_phase(s.t, n)
+        tail, err, used = _em_tail(sc, phi, n, target_abs_error)
         if err <= target_abs_error:
             return EvalResult(head + tail, "reference", (n - 1) + used, frozenset(), err)
         best_err = min(best_err, err)

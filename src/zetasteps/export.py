@@ -65,7 +65,13 @@ CONJUGATE_HEADER = (
 )
 
 STEPPLOT_ROW_GUARD = 10_000_000
-SURFACE_GRID_GUARD = 1_000_000
+FIGURE_ROW_GUARD = 1_000_000  # rows of one limacon, surface or loops export
+
+
+def _guard_rows(figure: str, rows: int) -> None:
+    """ResourceGuardError past FIGURE_ROW_GUARD rows, raised before any row."""
+    if rows > FIGURE_ROW_GUARD:
+        raise ResourceGuardError(f"{figure} of {rows:.3g} rows exceeds {FIGURE_ROW_GUARD}")
 
 
 def write_rows(
@@ -149,8 +155,10 @@ def export_limacon(
         raise DomainError("limacon needs samples >= 2")
     if not t_lo < t_hi:
         raise DomainError("need t_lo < t_hi")
+    grams = gram_indices(t_lo, t_hi)
+    _guard_rows("limacon", samples + grams.stop - grams.start)  # len() overflows past 2**63
     tagged = [(t, "sample") for t in _grid(t_lo, t_hi, samples)]
-    tagged += [(gram_point(n), "gram") for n in gram_indices(t_lo, t_hi)]
+    tagged += [(gram_point(n), "gram") for n in grams]
     tagged.sort(key=lambda item: (item[0], item[1] == "sample"))
     for t, tag in tagged:
         p_s, qp = symmetric_parts(Argument(sigma, t))
@@ -169,10 +177,7 @@ def export_surface(
     """|P(s)| and |Q(s)P(1-s)| on a rectangular critical-strip grid."""
     if n_sigma < 2 or n_t < 2:
         raise DomainError("surface grid counts must be >= 2")
-    if n_sigma * n_t > SURFACE_GRID_GUARD:
-        raise ResourceGuardError(
-            f"surface grid exceeds {SURFACE_GRID_GUARD} points"
-        )
+    _guard_rows("surface", n_sigma * n_t)
     ts = _grid(t_lo, t_hi, n_t)
     for sigma in _grid(sigma_lo, sigma_hi, n_sigma):
         for t in ts:
@@ -190,6 +195,7 @@ def export_loops(
         raise DomainError("loops needs samples >= 1")
     if t_lo * t_hi < 0.0:
         raise DomainError("loops needs t_lo and t_hi of one sign")
+    _guard_rows("loops", len(sigma_list) * samples)
     ts = _grid(t_lo, t_hi, samples)
     for sigma, t in itertools.product(sigma_list, (ts[0], ts[-1])):
         em_paper_domain(Argument(sigma, t))

@@ -7,9 +7,9 @@ All brackets are refined together by a lockstep Illinois solve on rs_z,
 and the reference oracle certifies each estimate c by a sign change across
 [c - tol/2, c + tol/2].  Where it does not, one secant step on the two
 oracle values and a second check follow, and only then the fallback: widen
-the scan bracket until the oracle changes sign across it and solve on the
-oracle.  Every reported ordinate is a true zero of zeta(1/2 + it) to the
-requested tolerance.
+the scan bracket until the oracle changes sign across it and refine_zero
+solves on the oracle there.  Every reported ordinate is a true zero of
+zeta(1/2 + it) to the requested tolerance.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ SCAN_GUARD = 1_000_000  # Gram intervals per scan, about 0.9 kB each (0.9 GB)
 class ZeroRecord:
     ordinal: int
     t: float
-    bracket: Tuple[float, float]
     gram_index: int
     scaled_offset: float
     residual: float = math.nan  # oracle |Z| at t; NaN where z was not evaluated
@@ -169,14 +168,10 @@ def refine_zero(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
     if hi < lo:
         raise DomainError("bracket endpoints out of order")
     if hi - lo <= tol:
-        return _make_record(0.5 * (lo + hi), (lo, hi))
-    return _solve_one(lo, hi, z_reference(lo), z_reference(hi), tol)
-
-
-def _solve_one(lo, hi, f_lo, f_hi, tol) -> ZeroRecord:
-    """_illinois on one bracket of the oracle Z."""
-    x, f = _illinois(np.vectorize(z_reference, otypes=[float]), [lo, hi], [f_lo, f_hi], tol)
-    return _record(x[:, 0].tolist(), f[:, 0].tolist())
+        return _record(0.5 * (lo + hi))
+    z = np.vectorize(z_reference, otypes=[float])
+    x, f = _illinois(z, [lo, hi], [z_reference(lo), z_reference(hi)], tol)
+    return _nearer(x[:, 0].tolist(), f[:, 0].tolist())
 
 
 def _illinois(z, x, f, tol):
@@ -211,51 +206,42 @@ def _illinois(z, x, f, tol):
     return x, f
 
 
-def _record(x, f) -> ZeroRecord:
-    """The bracket end x[k] with the smaller |f[k]|, and that |f[k]|."""
-    k = 0 if abs(f[0]) <= abs(f[1]) else 1
-    return _make_record(x[k], tuple(x), abs(f[k]))
-
-
-def _make_record(t: float, bracket: Tuple[float, float], residual: float = math.nan) -> ZeroRecord:
+def _record(t: float, residual: float = math.nan) -> ZeroRecord:
+    """The record at t (ordinal 0) with its Gram index and scaled offset."""
     idx = _gram_index_below(t)
     if idx < 0:
-        return ZeroRecord(0, t, bracket, -1, math.nan, residual)
+        return ZeroRecord(0, t, -1, math.nan, residual)
     g0 = gram_point(idx)
     g1 = gram_point(idx + 1)
     offset = (t - 0.5 * (g0 + g1)) / (0.5 * (g1 - g0))
-    return ZeroRecord(0, t, bracket, idx, offset, residual)
+    return ZeroRecord(0, t, idx, offset, residual)
 
 
-def _refine_on_oracle(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
-    """Refine an rs_z scan bracket on the oracle Z.  Where the oracle keeps
-    one sign across it, both ends widen by h = 1e-4, 2e-4, ... up to 1."""
-    lo, hi = bracket
-    f_lo, f_hi = z_reference(lo), z_reference(hi)
-    h = 1e-4
-    while f_lo * f_hi > 0.0:
-        if h > 1.0:
-            raise ConvergenceError(f"no oracle sign change near {bracket}")
-        lo, hi = bracket[0] - h, bracket[1] + h
-        f_lo, f_hi = z_reference(lo), z_reference(hi)
-        h *= 2.0
-    return _solve_one(lo, hi, f_lo, f_hi, tol)
+def _nearer(x, f) -> ZeroRecord:
+    """The record at the bracket end x[k] with the smaller |f[k]|, and that |f[k]|."""
+    k = 0 if abs(f[0]) <= abs(f[1]) else 1
+    return _record(x[k], abs(f[k]))
 
 
 def _certify(c: float, bracket: Tuple[float, float], tol: float) -> ZeroRecord:
     """The record of the zero near the rs_z estimate c: an oracle sign
     change across [c - tol/2, c + tol/2].  Where both oracle values share a
-    sign, one secant step on them moves c and the check runs once more;
-    after that the scan bracket goes to _refine_on_oracle."""
+    sign, one secant step on them moves c and the check runs once more.
+    After that both ends of the scan bracket widen by h = 0, 1e-4, 2e-4,
+    ... up to 1 until the oracle changes sign, and refine_zero solves there."""
     for _ in range(2):
         a, b = c - 0.5 * tol, c + 0.5 * tol
         f_a, f_b = z_reference(a), z_reference(b)
         if f_a * f_b <= 0.0:
-            return _record((a, b), (f_a, f_b))
+            return _nearer((a, b), (f_a, f_b))
         if f_a == f_b:
             break
         c = b - f_b * (b - a) / (f_b - f_a)
-    return _refine_on_oracle(bracket, tol)
+    for h in [0.0] + [1e-4 * 2.0**k for k in range(14)]:
+        lo, hi = bracket[0] - h, bracket[1] + h
+        if z_reference(lo) * z_reference(hi) <= 0.0:
+            return refine_zero((lo, hi), tol)
+    raise ConvergenceError(f"no oracle sign change near {bracket}")
 
 
 def find_zeros(

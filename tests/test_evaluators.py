@@ -95,6 +95,19 @@ class TestReference:
         with pytest.raises(DomainError):
             eval_reference(Argument(0.5, 10.0), target_abs_error=1e-15)
 
+    def test_bernoulli_numbers(self):
+        want = [tuple(int(x) for x in mpmath.bernfrac(2 * k)) for k in range(1, 13)]
+        assert list(evaluators._BERNOULLI) == want
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-20, 1e-12, 1e-8, 1e-4])
+    def test_near_pole_on_sigma_one(self, t):
+        # zeta(1 + it) = 1/(it) + gamma + O(t): the integral term's 1/(s - 1)
+        # scales any rounding of its phase -t log n up by 1/t
+        got = eval_reference(Argument(1.0, t)).value
+        want = mp_zeta(1.0, t)
+        assert abs(got.real - want.real) <= 1e-10
+        assert abs(got.imag - want.imag) <= 1e-12 * abs(want.imag)
+
     @settings(max_examples=20, deadline=None)
     @given(
         sigma=st.floats(min_value=-1.0, max_value=3.0),

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -337,6 +338,27 @@ class TestCli:
 
     def test_guard_exit_three(self, capsys):
         assert self.run("stepplot", "--t", "100000000", "--decimation", "1") == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("limacon", "--t-lo", "10", "--t-hi", "1e7", "--samples", "2"),
+        ("limacon", "--t-lo", "10", "--t-hi", "11", "--samples", "100000000"),
+        ("loops", "--t-lo", "2000", "--t-hi", "2010", "--samples", "100000000"),
+        ("loops", "--sigma", "0.5,0.6", "--t-lo", "2000", "--t-hi", "2010",
+         "--samples", "600000"),
+        ("surface", "--t-lo", "100", "--t-hi", "200", "--n-sigma", "2000", "--n-t", "2000"),
+    ])
+    def test_figure_row_guard_exit_three(self, argv, monkeypatch, capsys):
+        # the row count comes before the sample grid and the Gram points:
+        # limacon to t = 1e7 would list 2.1e7 of them, loops with 1e8
+        # samples would hold a 3 GB grid
+        grids = []
+        monkeypatch.setattr(ex, "_grid", lambda *a: grids.append(a))
+        start = time.perf_counter()
+        assert self.run(*argv) == 3
+        assert time.perf_counter() - start < 2.0
+        out, err = capsys.readouterr()
+        assert out == "" and "rows exceeds 1000000" in err
+        assert grids == []
 
     def test_table_guard_exit_three(self, table_recorder, tmp_path, capsys):
         # each needs a log table past 1e8 entries (5-11 GB at t = 1e9)

@@ -1,7 +1,10 @@
 """Source-layout rules that keep slow paths from coming back."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import tokenize
 
 import zetasteps
@@ -35,6 +38,16 @@ def test_no_module_imports_decimal():
     files = sorted(SRC.glob("*.py"))
     users = [f.name for f in files if "decimal" in imported_modules(f)]
     assert users == []
+
+
+def test_import_loads_neither_decimal_nor_fractions():
+    # The AST check above misses a stdlib module that imports decimal
+    # itself, as fractions does on Python 3.11.
+    code = "import sys, zetasteps; print('decimal' in sys.modules, 'fractions' in sys.modules)"
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (0, "False False\n"), proc.stderr
 
 
 def test_no_module_imports_threads_or_processes():

@@ -24,11 +24,12 @@ from zetasteps import (
     rs_theta,
     rs_z,
     scan_z_sign_changes,
+    z_reference,
     zero_count_main,
 )
 from zetasteps.cli import main
 from zetasteps.export import export_zeros
-from zetasteps.zeros import ZeroRecord, gram_indices
+from zetasteps.zeros import gram_indices
 
 zeros_module = sys.modules["zetasteps.zeros"]
 
@@ -112,8 +113,6 @@ class TestGramIndices:
 
 class TestScan:
     def test_first_three_zeros_bracketed(self):
-        from zetasteps import z_reference
-
         brackets = scan_z_sign_changes(10.0, 30.0, z=np.vectorize(z_reference))
         for want in FIRST_ZEROS:
             assert any(lo <= want <= hi for lo, hi in brackets)
@@ -318,23 +317,24 @@ class TestOneStageRefine:
     def test_forced_fallback(self, monkeypatch):
         # an rs_z off by 1e-3 moves each estimate by ~1e-3: the oracle check
         # and its secant re-check fail, and every zero comes from the
-        # fallback, an oracle solve on the scan bracket
+        # fallback, refine_zero on the (widened) scan bracket
         import zetasteps.zeros as zeros_mod
 
         fallbacks = []
-        solve = zeros_mod._refine_on_oracle
+        solve = zeros_mod.refine_zero
 
         def counted(bracket, tol):
             fallbacks.append(bracket)
             return solve(bracket, tol)
 
         monkeypatch.setattr(zeros_mod, "rs_z", lambda t: rs_z(t) + 1e-3)
-        monkeypatch.setattr(zeros_mod, "_refine_on_oracle", counted)
-        got = [r.t for r in find_zeros(10.0, 60.0)]
+        monkeypatch.setattr(zeros_mod, "refine_zero", counted)
+        records = find_zeros(10.0, 60.0)
         want = [float(mpmath.zetazero(n).imag) for n in range(1, 14)]
-        assert len(got) == len(fallbacks) == len(want)
-        for t, w in zip(got, want):
-            assert abs(t - w) <= 1e-8
+        assert len(records) == len(fallbacks) == len(want)
+        for rec, w in zip(records, want):
+            assert abs(rec.t - w) <= 1e-8
+            assert rec.residual == abs(z_reference(rec.t))
 
     def test_call_budget(self, monkeypatch):
         calls = {"oracle": 0, "rs_scan": 0, "rs_other": 0}
@@ -378,16 +378,11 @@ class TestOneStageRefine:
 class TestOffsets:
     def test_offset_at_midpoint_and_endpoint(self):
         g0, g1 = gram_point(3), gram_point(4)
-        mid = ZeroRecord(1, 0.5 * (g0 + g1), (0, 0), 3, 0.0)
         # offsets are computed inside the pipeline; verify the formula directly
-        from zetasteps.zeros import _make_record
+        from zetasteps.zeros import _record
 
-        assert _make_record(0.5 * (g0 + g1), (0, 0)).scaled_offset == pytest.approx(
-            0.0, abs=1e-9
-        )
-        assert abs(_make_record(g1, (0, 0)).scaled_offset) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        assert _record(0.5 * (g0 + g1)).scaled_offset == pytest.approx(0.0, abs=1e-9)
+        assert abs(_record(g1).scaled_offset) == pytest.approx(1.0, abs=1e-9)
 
     def test_pre_gram_zero_flagged(self):
         zeros = find_zeros(10.0, 20.0)

@@ -262,6 +262,45 @@ def rs_z(t):
     return out.reshape(t.shape) if isinstance(t, np.ndarray) else float(out[0])
 
 
+_RS_BOUND_T_MIN, _RS_BOUND_T_MAX = 200.0, 1e7  # _rs_bound is +inf outside
+_U = 2.0**-53  # unit roundoff
+# Error of one main-sum term over n**(-1/2), in rad: the phase (6.7e-15,
+# ddmath), theta mod 2pi (4 ulp(2pi) = 3.6e-15, plus the 1.2e-15 of the first
+# dropped theta term at t = 200), theta + phase < 4pi (1.4e-15), cos and the
+# n**(-1/2) product (5.5e-16).
+_RS_TERM_ERR = 1.4e-14
+
+
+def _rs_bound(t):
+    """B(t) >= |rs_z(t) - Z(t)| for 200 <= t <= 1e7, +inf elsewhere (and at
+    NaN); t is a float or an ndarray of ordinates.
+
+    B = 0.017 t**(-11/4) + E_fp.  The first term is Gabcke's bound on the
+    remainder after C0-C4 for t >= 200 (thesis, Goettingen 1979), of the
+    same order t**(-(2L+1)/4), L = 5, as Arias de Reyna's explicit bound
+    (Math. Comp. 80, 2011), which mpmath's rszeta applies.  E_fp bounds the
+    rounding, with n = n_p, r = sqrt(t/2pi) and u = 2**-53:
+    * the main sum: twice _RS_TERM_ERR * sum n**(-1/2) <= 2 sqrt(n), and the
+      running sum's u * sum_k |S_k| <= u * (4/3)(n + 1)**(3/2);
+    * the remainder: r**(-1/2) times its slope in p (<= 2.5) times the error
+      of p (snap and rounding of r, <= 66u r), plus 64u of Horner
+      rounding, and u(4 sqrt(n) + 1) for the final sum.
+    Gabcke's constant is quoted, not re-derived here: the contract is
+    tests/test_evaluators.py, which checks B against mpmath.siegelz on at
+    least 100 seeded t per decade band of [200, 1e6] and on a few t in
+    (1e6, 1e7].
+    """
+    ts = np.asarray(t, dtype=float)
+    inside = (ts >= _RS_BOUND_T_MIN) & (ts <= _RS_BOUND_T_MAX)
+    ts = np.clip(ts, _RS_BOUND_T_MIN, _RS_BOUND_T_MAX)
+    r = np.sqrt(ts / TWOPI)
+    n = np.floor(r)
+    head = 4.0 * _RS_TERM_ERR * np.sqrt(n) + (8.0 / 3.0) * _U * (n + 1.0) ** 1.5
+    rest = _U * (165.0 * np.sqrt(r) + 64.0 / np.sqrt(r) + 4.0 * np.sqrt(n) + 1.0)
+    b = np.where(inside, 0.017 * ts**-2.75 + head + rest, np.inf)
+    return b if isinstance(t, np.ndarray) else float(b)
+
+
 def eval_symmetric(s: Argument) -> EvalResult:
     """Symmetric form zeta(s) = P(s) + Q(s) * P(1-s), the sum of
     `symmetric_parts` for sigma in (0, 1); degeneracy of p is propagated as

@@ -65,7 +65,7 @@ CONJUGATE_HEADER = (
 )
 
 STEPPLOT_ROW_GUARD = 10_000_000
-FIGURE_ROW_GUARD = 1_000_000  # rows of one limacon, surface or loops export
+FIGURE_ROW_GUARD = 1_000_000  # rows of one limacon, surface, loops or gram export
 
 
 def _guard_rows(figure: str, rows: int) -> None:
@@ -243,7 +243,10 @@ def export_histogram(count: int, bins: int, tol: float = 1e-8) -> Iterator[Tuple
 
 
 def export_gram(t_lo: float, t_hi: float) -> Iterator[Tuple]:
-    for n in gram_indices(t_lo, t_hi):
+    """Rows (n, g_n) for the Gram points in [t_lo, t_hi]."""
+    grams = gram_indices(t_lo, t_hi)
+    _guard_rows("gram", grams.stop - grams.start)
+    for n in grams:
         yield (n, gram_point(n))
 
 

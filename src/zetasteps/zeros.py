@@ -3,13 +3,16 @@
 The scan evaluates the Riemann-Siegel rs_z (main sum plus Gabcke's C0-C4
 remainder) in one batch at the Gram points, then halves the steps of each
 Gram block with fewer sign changes than Gram intervals (Rosser's rule).
-All brackets are refined together by a lockstep Illinois solve on rs_z,
-and the reference oracle certifies each estimate c by a sign change across
-[c - tol/2, c + tol/2].  Where it does not, one secant step on the two
-oracle values and a second check follow, and only then the fallback: widen
-the scan bracket until the oracle changes sign across it and refine_zero
-solves on the oracle there.  Every reported ordinate is a true zero of
-zeta(1/2 + it) to the requested tolerance.
+All brackets are refined together by a lockstep Illinois solve on rs_z.
+One more batched rs_z call at c - tol/2 and c + tol/2 around every
+estimate c then certifies each zero whose two values change sign and both
+exceed the error bound B(t) of rs_z ("rs_bound").  The rest go to the
+reference oracle ("oracle"): a sign change across the same two points,
+else one secant step on the two oracle values and a second check, and only
+then the fallback: widen the scan bracket until the oracle changes sign
+across it and refine_zero solves on the oracle there.  B is +inf below
+t = 200, so low zeros always take the oracle.  Every reported ordinate is
+a true zero of zeta(1/2 + it) to the requested tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResourceGuardError
-from .evaluators import rs_z, z_reference
+from .evaluators import _rs_bound, rs_z, z_reference
 from .symmetry import TWOPI, rs_theta
 
 _GRAM_TOL = 1e-10
@@ -39,7 +42,8 @@ class ZeroRecord:
     t: float
     gram_index: int
     scaled_offset: float
-    residual: float = math.nan  # oracle |Z| at t; NaN where z was not evaluated
+    residual: float = math.nan  # |Z| at t by the certificate's evaluator; NaN if none ran
+    certificate: str = "oracle"  # "rs_bound": |rs_z| > B(t); "oracle": z_reference
 
 
 @lru_cache(maxsize=100_000)
@@ -79,9 +83,14 @@ def zero_count_main(T: float) -> float:
 
 
 def _gram_index_below(t: float) -> int:
-    """Largest N with g_N <= t (clamped at -1 for t below g_0)."""
+    """Largest N with g_N <= t (clamped at -1 for t below g_0), walked from
+    floor(theta_RS(t)/pi).  DomainError where the Gram spacing
+    2pi/log(t/2pi) falls below ulp(t) (from t = 1.1e15 on): there Gram points
+    no longer differ as floats and the walk would not end."""
     if t < gram_point(0):
         return -1
+    if TWOPI / math.log(t / TWOPI) < math.ulp(t):
+        raise DomainError(f"Gram spacing at t = {t:.6g} is below ulp(t)")
     n = int(math.floor(rs_theta(t) / math.pi))
     while gram_point(n) > t:
         n -= 1
@@ -206,21 +215,21 @@ def _illinois(z, x, f, tol):
     return x, f
 
 
-def _record(t: float, residual: float = math.nan) -> ZeroRecord:
+def _record(t: float, residual: float = math.nan, certificate: str = "oracle") -> ZeroRecord:
     """The record at t (ordinal 0) with its Gram index and scaled offset."""
     idx = _gram_index_below(t)
     if idx < 0:
-        return ZeroRecord(0, t, -1, math.nan, residual)
+        return ZeroRecord(0, t, -1, math.nan, residual, certificate)
     g0 = gram_point(idx)
     g1 = gram_point(idx + 1)
     offset = (t - 0.5 * (g0 + g1)) / (0.5 * (g1 - g0))
-    return ZeroRecord(0, t, idx, offset, residual)
+    return ZeroRecord(0, t, idx, offset, residual, certificate)
 
 
-def _nearer(x, f) -> ZeroRecord:
+def _nearer(x, f, certificate: str = "oracle") -> ZeroRecord:
     """The record at the bracket end x[k] with the smaller |f[k]|, and that |f[k]|."""
     k = 0 if abs(f[0]) <= abs(f[1]) else 1
-    return _record(x[k], abs(f[k]))
+    return _record(x[k], abs(f[k]), certificate)
 
 
 def _certify(c: float, bracket: Tuple[float, float], tol: float) -> ZeroRecord:
@@ -250,11 +259,13 @@ def find_zeros(
     tol: float = 1e-8,
     workers: int = 1,
 ) -> List[ZeroRecord]:
-    """Scan with rs_z, solve every bracket on rs_z, certify on the oracle.
+    """Scan with rs_z, solve every bracket on rs_z, certify each zero on
+    rs_z's error bound where it decides, else on the oracle.
 
     Everything runs in the calling thread; `workers` is accepted and
-    ignored.  Each record carries the oracle |Z| at its ordinate as
-    `residual`.
+    ignored.  A record's `certificate` names its route and `residual` is
+    |Z| at its ordinate on that route: |rs_z|, which exceeds B(t) and is
+    within B(t) of |Z|, for "rs_bound"; the oracle |Z| for "oracle".
 
     Known defect: for t_lo > 14 the first ordinal is
     round(zero_count_main(t_lo)), which ignores S(t) and can be one too
@@ -265,13 +276,20 @@ def find_zeros(
         raise DomainError(f"tol must be >= {_TOL_FLOOR:g}")
     t_lo = max(t_lo, _T_SCAN_FLOOR)
     offset = 0 if t_lo <= 14.0 else max(0, int(round(zero_count_main(t_lo))))
-    # All scan brackets solve on rs_z in lockstep; each estimate, the rs_z
-    # root interpolated in its final bracket, then goes to the oracle.
+    # All scan brackets solve on rs_z in lockstep.  Each estimate, the rs_z
+    # root interpolated in its final bracket, is certified where rs_z
+    # changes sign across c -+ tol/2 by more than its bound, else on the oracle.
     brackets = scan_z_sign_changes(t_lo, t_hi)
     x = np.array(brackets).reshape(-1, 2).T
     (lo, hi), (f_lo, f_hi) = _illinois(rs_z, x, rs_z(x), tol)
     est = lo - f_lo * (hi - lo) / np.where(f_hi == f_lo, 1.0, f_hi - f_lo)
-    refined = [_certify(c, b, tol) for c, b in zip(est.tolist(), brackets)]
+    ends = est + np.array([[-0.5], [0.5]]) * tol
+    f = rs_z(ends)
+    sure = (f[0] * f[1] < 0.0) & np.all(np.abs(f) > _rs_bound(ends), axis=0)
+    refined = [
+        _nearer(e, v, "rs_bound") if ok else _certify(c, b, tol)
+        for c, b, e, v, ok in zip(est.tolist(), brackets, ends.T.tolist(), f.T.tolist(), sure)
+    ]
     records: List[ZeroRecord] = []
     for rec in sorted(refined, key=lambda r: r.t):
         if records and rec.t - records[-1].t <= 10.0 * tol:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from zetasteps import steps
+from zetasteps import steps, zeros
 
 TABLE_GUARD_ENTRIES = 100_000_000  # 1.6 GB of dd log table
 
@@ -22,3 +22,20 @@ def table_recorder(monkeypatch):
 
     monkeypatch.setattr(steps, "log_table", log_table)
     yield seen
+
+
+@pytest.fixture
+def gram_recorder(monkeypatch):
+    """Count the Gram point calls made through `zetasteps.zeros` and fail
+    past 1,000, so a guard that comes too late fails without walking its
+    range.  Yields the list of requested indices."""
+    calls = []
+    gram_point = zeros.gram_point
+
+    def recorder(n):
+        calls.append(n)
+        assert len(calls) <= 1000, "walked the Gram points past 1,000 calls"
+        return gram_point(n)
+
+    monkeypatch.setattr(zeros, "gram_point", recorder)
+    yield calls

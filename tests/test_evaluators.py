@@ -27,7 +27,14 @@ from zetasteps import (
     zeta_on_line,
 )
 from zetasteps import evaluators
-from zetasteps.evaluators import FLAG_DEGENERATE_P, _BLOCK, _GABCKE, _gabcke, _remainder_c
+from zetasteps.evaluators import (
+    FLAG_DEGENERATE_P,
+    _BLOCK,
+    _GABCKE,
+    _gabcke,
+    _remainder_c,
+    _rs_bound,
+)
 
 mpmath.mp.dps = 40
 TWOPI = 2.0 * math.pi
@@ -239,6 +246,39 @@ class TestGabcke:
         assert len(ts) > _BLOCK // frame_of(float(ts.max())).n_p * 3
         got = rs_z(ts)
         assert got.tolist() == [rs_z(float(t)) for t in ts]
+
+
+
+class TestRsBound:
+    # _rs_bound's contract: B(t) >= |rs_z(t) - Z(t)| on 100 seeded t per
+    # decade band of [200, 1e6] and 8 in (1e6, 1e7].  Measured worst
+    # error/B: 0.71, 0.69, 0.15, 0.007 and 0.001; Gabcke's truncation term
+    # sets B below 1e4, the rounding term above.
+    BANDS = ((200.0, 1e3, 100), (1e3, 1e4, 100), (1e4, 1e5, 100), (1e5, 1e6, 100),
+             (1e6, 1e7, 8))
+
+    @pytest.mark.parametrize("lo, hi, k", BANDS)
+    def test_bounds_rs_z_error(self, lo, hi, k):
+        rng = np.random.default_rng([20261021, int(lo)])
+        ts = np.exp(rng.uniform(math.log(lo), math.log(hi), k))
+        if hi == 1e7:
+            ts[-1] = hi
+        with mpmath.workdps(20):
+            want = np.array([float(mpmath.siegelz(t)) for t in ts])
+        bound = _rs_bound(ts)
+        assert np.all(np.isfinite(bound))
+        assert np.all(np.abs(rs_z(ts) - want) <= bound)
+
+    def test_infinite_outside_its_range(self):
+        below, above = math.nextafter(200.0, 0.0), math.nextafter(1e7, math.inf)
+        for t in (14.0, below, above, 1e8, math.nan):
+            assert _rs_bound(t) == math.inf
+        assert type(_rs_bound(200.0)) is float
+        assert 0.0 < _rs_bound(200.0) < 1e-8 and 0.0 < _rs_bound(1e7) < 1e-10
+        ts = np.array([[below, 200.0], [1e7, above]])
+        got = _rs_bound(ts)
+        assert got.shape == ts.shape
+        assert np.isinf(got).tolist() == [[True, False], [False, True]]
 
 
 class TestZ:

@@ -321,6 +321,32 @@ class TestGram:
         assert [r[0] for r in export_gram(g[1] + 1e-9, g[4] - 1e-9)] == [2, 3]
         assert list(export_gram(g[3], g[2])) == []
 
+    @pytest.mark.parametrize("argv", [
+        ("gram", "--t-lo", "1e299", "--t-hi", "1e300"),
+        ("limacon", "--t-lo", "1e299", "--t-hi", "1e300", "--samples", "2"),
+    ])
+    def test_spacing_below_ulp_refused(self, argv, gram_recorder, capsys):
+        # from t = 1.1e15 the Gram spacing 2pi/log(t/2pi) is below ulp(t):
+        # neighbouring Gram points round to one float, and a walk to the
+        # Gram index of t would never end (gram_recorder fails it instead)
+        start = time.perf_counter()
+        assert main(list(argv)) == 2
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert "below ulp" in captured.err and captured.out == ""
+        assert list(ex.gram_indices(1e15, 1e15 + 0.5))
+        with pytest.raises(DomainError):
+            ex.gram_indices(1.2e15, 1.3e15)
+
+    def test_row_guard_before_first_row(self, gram_recorder, monkeypatch, capsys):
+        # 2.85e9 Gram points up to t = 1e9: refused before the header; the
+        # rows' Gram points are counted too
+        monkeypatch.setattr(ex, "gram_point", zetasteps.zeros.gram_point)
+        assert main(["gram", "--t-lo", "10", "--t-hi", "1e9"]) == 3
+        captured = capsys.readouterr()
+        assert "resource guard: gram of 2.85e+09 rows" in captured.err
+        assert captured.out == ""
+
 
 class TestCli:
     def run(self, *argv):

@@ -28,6 +28,7 @@ from zetasteps import (
     zero_count_main,
 )
 from zetasteps.cli import main
+from zetasteps.evaluators import _rs_bound
 from zetasteps.export import export_zeros
 from zetasteps.zeros import gram_indices
 
@@ -158,21 +159,6 @@ class TestScan:
     def test_domain(self):
         with pytest.raises(DomainError):
             scan_z_sign_changes(1.0, 30.0)
-
-
-@pytest.fixture
-def gram_recorder(monkeypatch):
-    """Count the scan's Gram point calls and fail past 1,000, so a scan
-    guard that comes too late fails without walking its range."""
-    calls = []
-
-    def recorder(n):
-        calls.append(n)
-        assert len(calls) <= 1000, "scan walked the Gram points past 1,000 calls"
-        return gram_point(n)
-
-    monkeypatch.setattr(zeros_module, "gram_point", recorder)
-    return calls
 
 
 class TestScanGuard:
@@ -372,7 +358,40 @@ class TestOneStageRefine:
         monkeypatch.undo()
         for rec in records:
             want = abs(eval_reference(Argument(0.5, rec.t)).value)
-            assert abs(rec.residual - want) <= 1e-9
+            if rec.certificate == "oracle":
+                assert abs(rec.residual - want) <= 1e-9
+            else:  # |rs_z| beyond B(t), and within B(t) of |Z|
+                bound = _rs_bound(rec.t)
+                assert rec.residual > bound
+                assert abs(rec.residual - want) <= bound + 1e-10
+
+
+class TestCertificateRoutes:
+    @pytest.mark.parametrize("t_lo", [1e5, 1e6])
+    def test_bound_decides_without_the_oracle(self, monkeypatch, t_lo):
+        # every zero is certified by rs_z beyond its bound B(t): no oracle call
+        calls = []
+
+        def oracle(t):
+            calls.append(t)
+            return z_reference(t)
+
+        _instrument(monkeypatch, z_reference, oracle)
+        tol = 1e-8
+        records = find_zeros(t_lo, t_lo + 3.0, tol=tol)
+        assert calls == []
+        assert len(records) == mpmath.nzeros(t_lo + 3.0) - mpmath.nzeros(t_lo)
+        with mpmath.workdps(20):
+            for rec in records:
+                assert rec.certificate == "rs_bound"
+                assert mpmath.siegelz(rec.t - tol) * mpmath.siegelz(rec.t + tol) < 0
+
+    def test_oracle_below_two_hundred(self):
+        # B(t) is +inf below t = 200, where Gabcke's bound is not stated
+        records = find_zeros(150.0, 260.0)
+        low = [r for r in records if r.t < 200.0]
+        assert low and all(r.certificate == "oracle" for r in low)
+        assert any(r.certificate == "rs_bound" for r in records if r.t > 200.0)
 
 
 class TestOffsets:

@@ -20,13 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ToleranceError
 from .steps import _BLOCK, Argument, partial_sum, phase_blocks, reduced_phase, step_term
-from .symmetry import (
-    TWOPI,
-    frame_of,
-    sqrt_t_over_twopi,
-    symmetric_parts,
-    _theta_mod_unchecked,
-)
+from .symmetry import TWOPI, frame_of, rs_theta_mod, sqrt_t_over_twopi, symmetric_parts
 
 FLAG_DEGENERATE_P = "degenerate_p"
 
@@ -249,7 +243,7 @@ def rs_z(t):
         raise DomainError(f"rs_z needs t >= 2*pi, got {ts.min()}")
     r = sqrt_t_over_twopi(ts)
     n_p = np.floor(r).astype(np.intp)
-    theta = _theta_mod_unchecked(ts)
+    theta = rs_theta_mod(ts)
     head = np.empty(ts.size)
     rows = max(1, _BLOCK // int(n_p.max(initial=1)))  # rows x n_max <= _BLOCK: one block
     for i in range(0, ts.size, rows):
@@ -323,15 +317,16 @@ def zeta_on_line(t: float) -> complex:
     """zeta(1/2 + it) from Z(t): rotate Z back off the Theta axis."""
     if t < TWOPI:
         raise DomainError(f"zeta_on_line needs t >= 2*pi, got {t}")
-    return rs_z(t) * cmath.exp(-1j * _theta_mod_unchecked(t))
+    return rs_z(t) * cmath.exp(-1j * rs_theta_mod(t))
 
 
 def z_reference(t: float) -> float:
-    """Z(t) through the reference oracle: Re(exp(i*theta) * zeta(1/2+it)).
+    """Z(t) = Re(exp(i*theta) * zeta(1/2+it)) through the reference oracle, t >= 2*pi.
 
-    The zero solver refines each bracket of the fast rs_z scan on it.
+    The zero search certifies on it the estimates that rs_z's bound B(t)
+    leaves open (all below t = 200); refine_zero, its fallback, solves on it.
     """
-    theta_mod = _theta_mod_unchecked(t)
+    theta_mod = rs_theta_mod(t)
     value = eval_reference(Argument(0.5, t)).value
     rotated = cmath.exp(1j * theta_mod) * value
     return rotated.real

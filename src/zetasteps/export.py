@@ -2,8 +2,8 @@
 rows (CSV or JSON-lines).
 
 Every export is a deterministic generator of tuples; `write_rows` renders
-them with one printf template (%.15g for numbers) so identical inputs give
-byte-identical files.
+them with one printf template (%d for ints, %.15g for other numbers) so
+identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -83,11 +83,10 @@ def write_rows(
     """Stream rows out; returns the number of data rows written.
 
     One printf template, built from the header and the first row, renders
-    every row: a str value is %s (quoted in JSON), any other value %.15g,
-    which prints -0, inf, nan, subnormals, numpy scalars and True as
-    f"{float(v):.15g}" does.  Integers of 1e15 or more would print as
-    1e+15; no column comes near that (n <= TABLE_GUARD = 1e8).  Every row
-    must be a tuple with its first row's column types (string or number).
+    every row: a str value is %s (quoted in JSON), an int (bool included)
+    %d, any other value %.15g, which prints -0, inf, nan, subnormals and
+    numpy scalars as f"{float(v):.15g}" does.  Every row must be a tuple
+    with its first row's column types (str, int or other number).
     JSON lines write NaN as null; CSV writes its header even for zero rows.
     """
     if fmt not in ("csv", "json-lines"):
@@ -100,7 +99,8 @@ def write_rows(
     if first is None:
         return 0
     quote = '"' if json else ""
-    cells = [quote + "%s" + quote if isinstance(v, str) else "%.15g" for v in first]
+    cells = [quote + "%s" + quote if isinstance(v, str) else "%d" if isinstance(v, int) else "%.15g"
+             for v in first]
     if json:
         cells = ['"%s":%s' % (k.replace("%", "%%"), c) for k, c in zip(header, cells)]
     template = ("{%s}\n" if json else "%s\n") % ",".join(cells)
@@ -210,7 +210,7 @@ def export_zeros(
     tol: float = 1e-8,
     t_lo: float = 10.0,
 ) -> Iterator[Tuple]:
-    """Located zeros in [t_lo, t_hi] with Gram offsets and oracle residuals."""
+    """Located zeros in [t_lo, t_hi], Gram offsets and certificate residuals |Z|."""
     for rec in _collect_zeros(t_hi, count, tol, t_lo):
         yield (rec.ordinal, rec.t, rec.gram_index, rec.scaled_offset, rec.residual)
 

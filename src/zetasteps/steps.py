@@ -87,18 +87,14 @@ def phase_blocks(t, a: int, b: int, lookahead: int = 0):
     if b + lookahead > TABLE_GUARD:
         raise ResourceGuardError(f"log table of {b + lookahead:.3g} entries exceeds {TABLE_GUARD}")
     check_reducible(t * math.log(b + lookahead))
-    width, zero = _BLOCK, not isinstance(t, np.ndarray) and t == 0.0
+    width = _BLOCK
     if isinstance(t, np.ndarray):
         t, width = t.reshape(-1, 1), max(1, _BLOCK // t.size)
-    if not zero:
-        log_hi, log_lo = log_table(b + lookahead)
+    log_hi, log_lo = log_table(b + lookahead)
     for lo in range(a, b + 1, width):
         hi = min(b, lo + width - 1)
         stop = hi + 1 + lookahead
-        if zero:
-            yield lo, hi, np.zeros(stop - lo)
-        else:
-            yield lo, hi, phase_from_dd_log(t, log_hi[lo:stop], log_lo[lo:stop])
+        yield lo, hi, phase_from_dd_log(t, log_hi[lo:stop], log_lo[lo:stop])
 
 
 def partial_sum(a: int, b: int, s: Argument) -> complex:

@@ -129,7 +129,7 @@ def scan_z_sign_changes(
         raise DomainError(f"scan needs t_lo >= 2*pi, got {t_lo}")
     if t_hi <= t_lo:
         return []
-    intervals = (rs_theta(t_hi) - rs_theta(max(t_lo, _T_SCAN_FLOOR))) / math.pi
+    intervals = (rs_theta(t_hi) - rs_theta(t_lo)) / math.pi
     if intervals > SCAN_GUARD:
         raise ResourceGuardError(f"scan of {intervals:.3g} Gram intervals exceeds {SCAN_GUARD}")
     inner = gram_indices(t_lo, t_hi)
@@ -167,19 +167,20 @@ def scan_z_sign_changes(
 def refine_zero(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
     """Shrink a sign-change bracket of the oracle Z below tol (Illinois).
 
-    A bracket no wider than tol gives its midpoint without evaluating Z.
-    Otherwise the record holds the final-bracket endpoint with the smaller
-    |Z|, which lies within tol of the zero, and that |Z| as its residual.
+    Z must change sign across the bracket (else DomainError); one no wider
+    than tol then gives its midpoint.  Otherwise the record holds the
+    final-bracket endpoint with the smaller |Z|, which lies within tol of
+    the zero, and that |Z| as its residual.
     """
     if tol < _TOL_FLOOR:
         raise DomainError(f"tol must be >= {_TOL_FLOOR:g}")
     lo, hi = bracket
     if hi < lo:
         raise DomainError("bracket endpoints out of order")
-    if hi - lo <= tol:
-        return _record(0.5 * (lo + hi))
     z = np.vectorize(z_reference, otypes=[float])
     x, f = _illinois(z, [lo, hi], [z_reference(lo), z_reference(hi)], tol)
+    if hi - lo <= tol:
+        return _record(0.5 * (lo + hi))
     return _nearer(x[:, 0].tolist(), f[:, 0].tolist())
 
 
@@ -267,15 +268,15 @@ def find_zeros(
     |Z| at its ordinate on that route: |rs_z|, which exceeds B(t) and is
     within B(t) of |Z|, for "rs_bound"; the oracle |Z| for "oracle".
 
-    Known defect: for t_lo > 14 the first ordinal is
-    round(zero_count_main(t_lo)), which ignores S(t) and can be one too
-    high (find_zeros(527, 529) numbers its zeros 290 and 291 where
-    mpmath.zetazero gives 289 and 290); an exact count needs a Turing bound.
+    Known defect: ordinals count on from round(zero_count_main(t_lo)), which
+    ignores S(t) and can be one off either way: find_zeros(527, 529) gives
+    290, 291 for mpmath's 289, 290 and find_zeros(14.5, 40) 1 for gamma_2.
+    An exact count needs a Turing bound.
     """
     if tol < _TOL_FLOOR:
         raise DomainError(f"tol must be >= {_TOL_FLOOR:g}")
     t_lo = max(t_lo, _T_SCAN_FLOOR)
-    offset = 0 if t_lo <= 14.0 else max(0, int(round(zero_count_main(t_lo))))
+    offset = int(round(zero_count_main(t_lo)))
     # All scan brackets solve on rs_z in lockstep.  Each estimate, the rs_z
     # root interpolated in its final bracket, is certified where rs_z
     # changes sign across c -+ tol/2 by more than its bound, else on the oracle.

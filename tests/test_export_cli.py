@@ -314,6 +314,13 @@ class TestGram:
         assert [int(r[0]) for r in rows] == list(range(298199, 298216))
         assert all(200000 <= float(r[1]) <= 200010 for r in rows)
 
+    def test_indices_past_1e15_print_exactly(self, capsys):
+        # %.15g would print every index here as 1.45612098162986e+15
+        assert main(["gram", "--t-lo", "3e14", "--t-hi", "300000000000000.5"]) == 0
+        idx = [int(line.split(",")[0]) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(idx) >= 2 and idx[0] > 10**15
+        assert idx == list(range(idx[0], idx[0] + len(idx)))
+
     def test_range_ends(self):
         g = [gram_point(n) for n in range(6)]
         assert list(export_gram(1.0, 17.0)) == []
@@ -616,6 +623,13 @@ class TestCli:
         for line in lines[1:]:
             rel = float(line.split(",")[9])
             assert abs(rel) < 0.1
+
+    def test_conjugate_underflowed_prediction(self, capsys):
+        # at sigma = 200, n_p**(1 - 2 sigma) underflows: the predicted sum is
+        # 0 and its relative error prints nan instead of dividing by zero
+        assert self.run("conjugate", "--sigma", "200", "--t", "1000", "--n-hi", "2") == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[9] for r in rows] == ["nan", "nan"]
 
     def test_json_lines_format(self, capsys):
         assert self.run("limacon", "--t-lo", "100", "--t-hi", "101",

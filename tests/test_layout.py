@@ -75,6 +75,14 @@ def test_log_table_named_only_by_ddmath_and_steps():
     assert users == ["ddmath.py", "steps.py"]
 
 
+def test_theta_helpers_named_only_by_symmetry():
+    # One theta-mod reader: every other module reads theta through the
+    # public rs_theta, rs_theta_mod or big_q, not a private helper.
+    files = sorted(SRC.glob("*.py"))
+    users = [f.name for f in files if any(n.startswith("_theta") for n in code_names(f))]
+    assert users == ["symmetry.py"]
+
+
 def test_no_module_names_fsum():
     # One summation policy: np.sum within each phase_blocks block plus a
     # running sum over the blocks (np.cumsum plus that carry for prefix

@@ -19,7 +19,7 @@ from zetasteps import (
     step_term,
 )
 from zetasteps.ddmath import REDUCTION_LIMIT, _dd_log, phase_from_dd_log
-from zetasteps.steps import TABLE_GUARD, phase_blocks
+from zetasteps.steps import _BLOCK, TABLE_GUARD, phase_blocks
 
 mpmath.mp.dps = 40
 TWOPI = 2.0 * math.pi
@@ -146,6 +146,19 @@ class TestPartialSum:
         v = partial_sum(1, 10**6, Argument(2.0, 0.0))
         assert v.imag == 0.0
         assert abs(v.real - (math.pi**2 / 6.0 - 1e-6)) < 1e-6
+
+    @pytest.mark.parametrize("b", [17, 100, 70000])
+    @pytest.mark.parametrize("t", [0.0, -0.0])
+    def test_real_axis_sums_lengths(self, b, t):
+        # at t = +-0 the kernel's phases are +0.0: the sum is the summation
+        # policy's sum of n**-sigma (np.sum per block) with a +0.0 imaginary part
+        for sigma in (2.0, 0.5, -0.5):
+            v = partial_sum(1, b, Argument(sigma, t))
+            want = 0.0
+            for lo in range(1, b + 1, _BLOCK):
+                want += np.sum(np.arange(lo, min(b, lo + _BLOCK - 1) + 1.0) ** -sigma)
+            assert v.real == want
+            assert math.copysign(1.0, v.imag) == 1.0 and v.imag == 0.0
 
     def test_matches_high_precision_oracle(self):
         s = Argument(0.5, 50.0)

@@ -97,8 +97,17 @@ class TestTheta:
             assert rs_theta(t) == pytest.approx(mp_theta(t), abs=1e-10 * max(1, t))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            rs_theta(5.0)
+        # the floor is t = 2pi, where the first step pendant exists
+        below = math.nextafter(TWOPI, 0.0)
+
+        def as_array(t):
+            return rs_theta_mod(np.array([t, 10.0]))
+
+        for entry in (rs_theta, rs_theta_mod, z_reference, as_array):
+            for t in (5.0, below):
+                with pytest.raises(DomainError):
+                    entry(t)
+        assert rs_theta(TWOPI) < 0.0 and 0.0 <= rs_theta_mod(TWOPI) < TWOPI
 
 
 def mp_theta_series(t):
@@ -116,7 +125,7 @@ def circular_gap(a, b):
 
 class TestThetaContract:
     """rs_theta_mod within 4 ulp(2*pi) of the series mod 2*pi, rs_theta to
-    4e-16 relative, and arg Q(1/2 + it) = -2*theta, on [10, 1e8].  Dropping
+    4e-16 relative, and arg Q(1/2 + it) = -2*theta, on [2*pi, 1e8].  Dropping
     the log1p tail of log t misses the first bound by up to 1/(16t)."""
 
     EDGES = (10.0, 10.5, TWOPI * 4, 1e3 + 0.5, 1e6, TWOPI * 1e6, 1e8 - 0.5)
@@ -139,6 +148,14 @@ class TestThetaContract:
     @given(t=st.floats(min_value=10.0, max_value=1e8))
     def test_sweep(self, t):
         self.check(t)
+
+    def test_below_ten(self):
+        # [2pi, 10): the float and the array reader give the same bits
+        ts = np.concatenate([[TWOPI, 6.5, 8.0, 9.9, math.nextafter(10.0, 0.0)],
+                             np.random.default_rng(20261019).uniform(TWOPI, 10.0, 200)])
+        for t in ts:
+            self.check(float(t))
+        assert rs_theta_mod(ts).tolist() == [rs_theta_mod(float(t)) for t in ts]
 
     def test_frame_reads_theta_on_demand(self, monkeypatch):
         import zetasteps.symmetry as sym
@@ -260,10 +277,14 @@ class TestPendantOffset:
         assert center_point(s) == partial_sum(1, 1000, s) + pendant_offset(s)
 
     def test_center_reflection(self):
-        s = Argument(0.35, 4321.0)
-        assert center_point(s.conjugate()) == pytest.approx(
-            center_point(s).conjugate(), abs=1e-12
-        )
+        # bit for bit, through the short and the blocked partial sum
+        rng = np.random.default_rng(20261019)
+        ts = [TWOPI, 7.0, 4321.0, *rng.uniform(TWOPI, 2e3, 20), *rng.uniform(2e3, 1e6, 10)]
+        for t in ts:
+            s = Argument(float(rng.uniform(-0.5, 1.5)), float(t))
+            want = center_point(s).conjugate()
+            got = center_point(s.conjugate())
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 class TestConjRegion:

@@ -156,6 +156,13 @@ class TestScan:
     def test_empty_range(self):
         assert scan_z_sign_changes(20.0, 20.0) == []
 
+    def test_zero_free_window(self):
+        # no scan bracket, so the solve and the certificate each call rs_z
+        # on an empty batch, which must pass the t >= 2pi check
+        assert find_zeros(15.0, 20.0) == []
+        empty = rs_z(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             scan_z_sign_changes(1.0, 30.0)
@@ -206,6 +213,8 @@ class TestRefine:
     def test_non_bracketing_rejected(self):
         with pytest.raises(DomainError):
             refine_zero((15.0, 17.0), 1e-6)  # Z has one sign there
+        with pytest.raises(DomainError):
+            refine_zero((15.0, 15.1), 0.2)  # no wider than tol: checked too
 
     def test_tol_floor(self):
         with pytest.raises(DomainError):

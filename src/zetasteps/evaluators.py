@@ -53,25 +53,19 @@ def _em_tail(s: complex, phi_n: float, n: int, target: float):
     """
     n_pow_minus_s = float(n) ** (-s.real) * cmath.exp(1j * phi_n)
     tail = float(n) * n_pow_minus_s / (s - 1.0) + 0.5 * n_pow_minus_s
-    term = n_pow_minus_s / float(n)  # N**(-s-1), built up per order below
-    poch = 1.0 + 0.0j
-    used = 0
-    err = math.inf
+    term = n_pow_minus_s / float(n)  # N**(-s-2k+1) at order k
+    poch = s  # s(s+1)...(s+2k-2) at order k
     for k in range(1, _BERNOULLI_MAX_K + 1):
-        if k == 1:
-            poch = s
-        else:
-            poch = poch * (s + (2 * k - 3)) * (s + (2 * k - 2))
-            term = term / float(n) / float(n)
         contrib = _B_OVER_FACT[k] * poch * term
         tail += contrib
-        used = k
         ratio = abs(s + 2 * k - 1) * abs(s + 2 * k) / (TWOPI * n) ** 2
         nxt = abs(contrib) * ratio
         err = nxt / max(1e-16, 1.0 - min(ratio, 0.5)) if ratio < 1.0 else math.inf
         if err <= target / 4.0:
             break
-    return tail, err, used
+        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+        term = term / float(n) / float(n)
+    return tail, err, k
 
 
 def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
@@ -239,11 +233,9 @@ def rs_z(t):
     main sum is a running sum read off at n_p, whatever the batch's longest.
     """
     ts = np.ravel(np.asarray(t, dtype=float))
-    if ts.size and ts.min() < TWOPI:
-        raise DomainError(f"rs_z needs t >= 2*pi, got {ts.min()}")
+    theta = rs_theta_mod(ts)  # first: it refuses t < 2pi before np.sqrt sees one
     r = sqrt_t_over_twopi(ts)
     n_p = np.floor(r).astype(np.intp)
-    theta = rs_theta_mod(ts)
     head = np.empty(ts.size)
     rows = max(1, _BLOCK // int(n_p.max(initial=1)))  # rows x n_max <= _BLOCK: one block
     for i in range(0, ts.size, rows):
@@ -305,8 +297,6 @@ def eval_symmetric(s: Argument) -> EvalResult:
         return replace(res, value=res.value.conjugate())
     if not (0.0 < s.sigma < 1.0):
         raise DomainError(f"eval_symmetric needs sigma in (0, 1), got {s.sigma}")
-    if s.t < TWOPI:
-        raise DomainError(f"eval_symmetric needs t >= 2*pi, got {s.t}")
     frame = frame_of(s.t)
     p_s, qp = symmetric_parts(s)
     flags = frozenset({FLAG_DEGENERATE_P}) if frame.degenerate_p else frozenset()
@@ -314,9 +304,7 @@ def eval_symmetric(s: Argument) -> EvalResult:
 
 
 def zeta_on_line(t: float) -> complex:
-    """zeta(1/2 + it) from Z(t): rotate Z back off the Theta axis."""
-    if t < TWOPI:
-        raise DomainError(f"zeta_on_line needs t >= 2*pi, got {t}")
+    """zeta(1/2 + it) from Z(t): rotate Z back off the Theta axis, t >= 2*pi."""
     return rs_z(t) * cmath.exp(-1j * rs_theta_mod(t))
 
 

@@ -68,10 +68,10 @@ STEPPLOT_ROW_GUARD = 10_000_000
 FIGURE_ROW_GUARD = 1_000_000  # rows of one limacon, surface, loops or gram export
 
 
-def _guard_rows(figure: str, rows: int) -> None:
-    """ResourceGuardError past FIGURE_ROW_GUARD rows, raised before any row."""
-    if rows > FIGURE_ROW_GUARD:
-        raise ResourceGuardError(f"{figure} of {rows:.3g} rows exceeds {FIGURE_ROW_GUARD}")
+def _guard_rows(figure: str, rows: int, limit: int = FIGURE_ROW_GUARD) -> None:
+    """ResourceGuardError past `limit` rows, raised before any row."""
+    if rows > limit:
+        raise ResourceGuardError(f"{figure} of {rows:.3g} rows exceeds {limit}")
 
 
 def write_rows(
@@ -126,11 +126,7 @@ def export_stepplot(s: Argument, decimation: int = 1) -> Iterator[Tuple]:
         raise DomainError("decimation must be >= 1")
     n_p = frame_of(s.t).n_p
     n_max = int(math.floor(s.t / math.pi))
-    if n_max // decimation > STEPPLOT_ROW_GUARD:
-        raise ResourceGuardError(
-            f"stepplot would emit > {STEPPLOT_ROW_GUARD} rows; "
-            "increase --decimation"
-        )
+    _guard_rows("stepplot", n_max // decimation, STEPPLOT_ROW_GUARD)
     carry_re = carry_im = 0.0
     for a, b, phases in phase_blocks(s.t, 1, n_max, lookahead=2):
         n = np.arange(a, b + 1)
@@ -256,12 +252,13 @@ def export_conjugate(
     """Conjugate-region report: boundaries, direct and predicted sums."""
     if n_hi is None:
         n_hi = min(frame_of(s.t).n_p, 10)
-    conj_region(n_lo, s.t)  # both ends are checked before the first row
+    conj_region(n_lo, s.t)  # both ends are checked before any sum
     conj_region(n_hi, s.t)
-    for n in range(n_lo, n_hi + 1):
+    # All sums before the first row: an overflowing prediction leaves nothing
+    # written.  The direct sum's log-table guard outranks the phase limit.
+    sums = [(n, conj_sum_direct(n, s), conj_sum_predicted(n, s)) for n in range(n_lo, n_hi + 1)]
+    for n, direct, pred in sums:
         region = conj_region(n, s.t)
-        direct = conj_sum_direct(n, s)
-        pred = conj_sum_predicted(n, s)
         rel = abs(direct) / abs(pred.value) - 1.0 if pred.value != 0 else math.nan
         yield (n, region.N_lo, region.N_center, region.N_hi, region.width,
                direct.real, direct.imag, pred.value.real, pred.value.imag,

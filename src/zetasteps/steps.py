@@ -99,15 +99,18 @@ def phase_blocks(t, a: int, b: int, lookahead: int = 0):
 
 def partial_sum(a: int, b: int, s: Argument) -> complex:
     """Sum of step_term(n, s) for a <= n <= b: np.sum within each kernel
-    block, added to a running sum over the blocks."""
+    block, added to a running sum over the blocks.  For t < 0 it is the sum
+    at |t|, conjugated: conj s gives the bit-exact conjugate."""
     if a < 1 or b < a:
         raise ValueError(f"need 1 <= a <= b, got ({a}, {b})")
     if b - a < _VECTOR_CUTOFF:
-        return sum((step_term(n, s) for n in range(a, b + 1)), 0j)
-    total = 0j
-    for lo, hi, theta in phase_blocks(abs(s.t), a, b):
-        lengths = np.arange(lo, hi + 1, dtype=float) ** (-s.sigma)
-        total += complex(np.sum(lengths * np.cos(theta)), np.sum(lengths * np.sin(theta)))
+        upper = s.conjugate() if s.t < 0.0 else s
+        total = sum((step_term(n, upper) for n in range(a, b + 1)), 0j)
+    else:
+        total = 0j
+        for lo, hi, theta in phase_blocks(abs(s.t), a, b):
+            lengths = np.arange(lo, hi + 1, dtype=float) ** (-s.sigma)
+            total += complex(np.sum(lengths * np.cos(theta)), np.sum(lengths * np.sin(theta)))
     return total.conjugate() if s.t < 0.0 else total
 
 

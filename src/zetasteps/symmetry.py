@@ -46,20 +46,16 @@ class SymmetryFrame:
 
     @property
     def theta_rs(self) -> float:
-        hi, lo = _theta_dd(self.t)
-        return hi + lo
+        return rs_theta(self.t)
 
     @property
     def Theta(self) -> float:
         # The paper's half phase-sum; step angles are negative, hence the sign.
         return -self.theta_rs
 
-    def q_magnitude(self, sigma: float, variant: str = "continuous") -> float:
-        if variant == "continuous":
-            return (self.t / TWOPI) ** (0.5 - sigma)
-        if variant == "discrete":
-            return float(self.n_p) ** (1.0 - 2.0 * sigma)
-        raise ValueError(f"unknown Q variant {variant!r}")
+    def q_magnitude(self, sigma: float) -> float:
+        """The discrete |Q| = n_p**(1-2*sigma) of the conjugate-region checks."""
+        return float(self.n_p) ** (1.0 - 2.0 * sigma)
 
 
 @dataclass(frozen=True)
@@ -160,14 +156,14 @@ def frame_of(t: float) -> SymmetryFrame:
 
 def big_q(s: Argument) -> complex:
     """The symmetry factor Q(s) = |Q| * exp(2i*Theta), of magnitude
-    (t/2pi)**(1/2-sigma); `SymmetryFrame.q_magnitude` also gives the
-    discrete n_p**(1-2*sigma) of the conjugate-region checks."""
+    (t/2pi)**(1/2-sigma); `SymmetryFrame.q_magnitude` gives the discrete
+    n_p**(1-2*sigma) of the conjugate-region checks."""
     t = s.t
     if t < TWOPI:
         raise DomainError(f"big_q needs t >= 2*pi, got {t}")
     hi, lo = _theta_dd(t)
     check_reducible(2.0 * hi)  # refused from t = 7.66e8 on
-    mag = frame_of(t).q_magnitude(s.sigma)
+    mag = (t / TWOPI) ** (0.5 - s.sigma)
     phase = mod_twopi(-2.0 * hi, -2.0 * lo)
     return mag * complex(math.cos(phase), math.sin(phase))
 
@@ -190,11 +186,8 @@ def pendant_offset(s: Argument) -> complex:
 
 
 def center_point(s: Argument) -> complex:
-    """P(s): the half sum to n_p plus the pendant offset."""
-    if s.t < 0.0:
-        return center_point(Argument(s.sigma, -s.t)).conjugate()
-    frame = frame_of(s.t)
-    return partial_sum(1, frame.n_p, s) + pendant_offset(s)
+    """P(s): the half sum to n_p plus the pendant offset; P(conj s) = conj P(s)."""
+    return partial_sum(1, frame_of(abs(s.t)).n_p, s) + pendant_offset(s)
 
 
 def symmetric_parts(s: Argument) -> Tuple[complex, complex]:
@@ -227,13 +220,16 @@ def conj_sum_predicted(n: int, s: Argument) -> PredictedSum:
 
     Magnitude n_p**(1-2*sigma) * n**(sigma-1); phase twice the center-step
     angle minus pi/4.  Reliable for n well below n_p; beyond n_p/4 the
-    value is still produced but flagged.
+    value is still produced but flagged.  DomainError where a power overflows.
     """
     frame = frame_of(s.t)
     region = conj_region(n, s.t)
     phi_n = reduced_phase(s.t, n)
     phi_c = reduced_phase(s.t, region.N_center)
-    mag = frame.q_magnitude(s.sigma, "discrete") * float(n) ** (s.sigma - 1.0)
+    try:
+        mag = frame.q_magnitude(s.sigma) * float(n) ** (s.sigma - 1.0)
+    except OverflowError:
+        raise DomainError(f"conjugate prediction at sigma = {s.sigma}, n = {n} overflows") from None
     ang = 2.0 * phi_c - phi_n - 0.25 * math.pi
     value = mag * cmath.exp(1j * ang)
     return PredictedSum(value, accuracy_unguaranteed=(n > frame.n_p / 4))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -347,6 +348,28 @@ class TestOnLine:
         from zetasteps import rs_z
 
         assert rs_z(14.1) * rs_z(14.2) < 0.0
+
+
+class TestTwoPiFloor:
+    def test_refused_before_sqrt(self):
+        # rs_z, zeta_on_line and eval_symmetric leave t < 2pi to the reader
+        # they call first (rs_theta_mod, frame_of), ahead of any square root
+        # of t/2pi, which would warn on a negative t.
+        calls = [
+            lambda: rs_z(5.0),
+            lambda: rs_z(-5.0),
+            lambda: rs_z(np.array([100.0, 5.0])),
+            lambda: rs_z(np.array([100.0, -5.0])),
+            lambda: zeta_on_line(5.0),
+            lambda: zeta_on_line(-5.0),
+            lambda: eval_symmetric(Argument(0.5, math.nextafter(TWOPI, 0.0))),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(DomainError):
+                    call()
+            assert rs_z(np.array([])).shape == (0,)
 
 
 class TestCrossAlgorithm:

@@ -631,6 +631,18 @@ class TestCli:
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert [r[9] for r in rows] == ["nan", "nan"]
 
+    @pytest.mark.parametrize("sigma", ["1000", "-1000", "-150"])
+    def test_conjugate_overflowed_prediction_exit_two(self, sigma, tmp_path, capsys):
+        # n**(sigma - 1) overflows at n_hi = 3 for sigma = 1000, and
+        # n_p**(1 - 2 sigma) at every n for the negative sigmas; every row's
+        # sums are taken before the first row, so nothing is written
+        argv = ("conjugate", f"--sigma={sigma}", "--t", "1000", "--n-hi", "3")
+        assert self.run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "overflows" in err
+        assert self.run(*argv, "--out", str(tmp_path / "c.csv")) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_json_lines_format(self, capsys):
         assert self.run("limacon", "--t-lo", "100", "--t-hi", "101",
                         "--samples", "3", "--format", "json-lines") == 0

@@ -125,3 +125,31 @@ def test_write_rows_renders_each_row_with_one_template():
     assert len(loops) == 1
     per_value = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     assert not [n for n in ast.walk(loops[0]) if isinstance(n, per_value)]
+
+
+def test_two_pi_floor_checked_by_its_readers():
+    # The symmetry frame exists from n_p = 1, t = 2pi, on.  Only the readers
+    # that need t >= 2pi refuse a smaller t; a caller that hands t on to one
+    # of them first lets it refuse, rather than restating the rule with a
+    # second check and a second message.
+    def floor_check(node):
+        below = any(
+            isinstance(c, ast.Compare) and isinstance(c.ops[0], ast.Lt)
+            and isinstance(c.comparators[0], ast.Name) and c.comparators[0].id == "TWOPI"
+            for c in ast.walk(node.test)
+        )
+        raises = any(
+            isinstance(r, ast.Raise) and isinstance(r.exc, ast.Call)
+            and getattr(r.exc.func, "id", None) == "DomainError"
+            for stmt in node.body for r in ast.walk(stmt)
+        )
+        return below and raises
+
+    checkers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(n, ast.If) and floor_check(n) for n in ast.walk(fn)
+            ):
+                checkers.add(fn.name)
+    assert sorted(checkers) == ["big_q", "frame_of", "rs_theta", "rs_theta_mod", "scan_z_sign_changes"]

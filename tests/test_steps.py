@@ -196,6 +196,17 @@ class TestPartialSum:
         b = a + count - 1
         assert partial_sum(a, b, s.conjugate()) == partial_sum(a, b, s).conjugate()
 
+    @pytest.mark.parametrize("k", [1, 2, 15, 16, 17, 40])
+    def test_conjugate_bits_from_one(self, k):
+        # Both paths sum at |t| and conjugate the total once, so the sign of
+        # an exactly zero imaginary part (k = 1: the lone step 1) flips too.
+        rng = random.Random(k)
+        ts = [3.0, TWOPI] + [rng.uniform(0.0, 1e4) for _ in range(20)]
+        for t in ts:
+            s = Argument(rng.uniform(-1.0, 2.0), t)
+            got, want = partial_sum(1, k, s.conjugate()), partial_sum(1, k, s).conjugate()
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), s
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_head_sum_at_1e5_matches_hurwitz(self, seed):
         # the oracle's head sum near t = 1e5: n = ceil(0.7 t) - 1 terms

@@ -231,7 +231,7 @@ class TestBigQ:
         assert abs(q) == pytest.approx(1000.0, rel=1e-12)
 
     def test_magnitude_discrete(self):
-        assert frame_of(TWOPI * 1e6).q_magnitude(0.0, "discrete") == pytest.approx(
+        assert frame_of(TWOPI * 1e6).q_magnitude(0.0) == pytest.approx(
             1000.0, rel=1e-12
         )
 

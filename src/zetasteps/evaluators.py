@@ -19,7 +19,7 @@ from typing import FrozenSet
 import numpy as np
 
 from .errors import DomainError, ToleranceError
-from .steps import _BLOCK, Argument, partial_sum, phase_blocks, reduced_phase, step_term
+from .steps import _BLOCK, Argument, partial_sum, phase_blocks, reduced_phase, step_sums
 from .symmetry import TWOPI, frame_of, rs_theta_mod, sqrt_t_over_twopi, symmetric_parts
 
 FLAG_DEGENERATE_P = "degenerate_p"
@@ -106,27 +106,43 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
 
 
 def em_paper_domain(s: Argument) -> None:
-    """eval_em_paper's domain: sigma in (0, 1.5) and |t| >= 50."""
+    """eval_em_paper's domain: sigma in (0, 1.5) and |t| >= 50 (for an
+    ndarray t, its every entry)."""
     if not (0.0 < s.sigma < 1.5):
         raise DomainError(f"eval_em_paper needs sigma in (0, 1.5), got {s.sigma}")
-    if abs(s.t) < 50.0:
-        raise DomainError(f"eval_em_paper needs |t| >= 50, got {s.t}")
+    low = np.min(np.abs(s.t), initial=math.inf)
+    if low < 50.0:
+        raise DomainError(f"eval_em_paper needs |t| >= 50, got |t| = {low}")
+
+
+def em_paper_grid(sigmas, t: np.ndarray) -> np.ndarray:
+    """eval_em_paper's values, one row per sigma, at the ordinates of the
+    1-D array t (|t| >= 50 unchecked): one step_sums call serves every sigma."""
+    a = np.abs(t)
+    n = np.floor(a / math.pi)
+    dt = a - math.pi * n
+    sums, lengths, phases = step_sums(sigmas, a, n)
+    w = lengths * (np.cos(phases) + 1j * np.sin(phases))  # the step N**(-s)
+    sigma = np.array(sigmas)[:, None]
+    # Python's complex arithmetic term for term: numpy's product may fuse a
+    # multiply-add, and its quotient multiplies by 1/(4N)
+    out = sums - 0.5 * w + ((sigma * w.real - dt * w.imag) / (4.0 * n)
+                            + 1j * ((sigma * w.imag + dt * w.real) / (4.0 * n)))
+    out.imag[:, t < 0.0] *= -1.0  # conj at |t|
+    return out
 
 
 def eval_em_paper(s: Argument) -> EvalResult:
-    """First algorithm: Dirichlet sum to N = [t/pi] with the half-step and
-    the scroll-center correction (sigma + i*dt)/(4 N**(s+1))."""
+    """First algorithm: Dirichlet sum to N = [|t|/pi] with the half-step and
+    the scroll-center correction (sigma + i*dt)/(4 N**(s+1)), for a float t
+    or an ndarray of them (value and terms_used then arrays of its shape).
+    A float is evaluated as a one-entry array, with a batch row's bits."""
     em_paper_domain(s)
-    if s.t < 0.0:
-        res = eval_em_paper(Argument(s.sigma, -s.t))
-        return replace(res, value=res.value.conjugate())
-    n = int(math.floor(s.t / math.pi))
-    dt = s.t - math.pi * n
-    head = partial_sum(1, n, s)
-    n_pow_minus_s = step_term(n, s)
-    value = head - 0.5 * n_pow_minus_s
-    value += complex(s.sigma, dt) * n_pow_minus_s / (4.0 * n)
-    return EvalResult(value, "em_paper", n, frozenset())
+    value = em_paper_grid((s.sigma,), np.ravel(s.t))[0]
+    terms = np.floor(np.abs(s.t) / math.pi)
+    if isinstance(s.t, np.ndarray):
+        return EvalResult(value.reshape(s.t.shape), "em_paper", terms.astype(np.intp), frozenset())
+    return EvalResult(complex(value[0]), "em_paper", int(terms), frozenset())
 
 
 # Gabcke's C_k(p), k = 0..4, of the Riemann-Siegel remainder (Gabcke,

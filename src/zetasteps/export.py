@@ -15,14 +15,14 @@ from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 import numpy as np
 
 from .errors import DomainError, ResourceGuardError
-from .evaluators import em_paper_domain, eval_em_paper
+from .evaluators import em_paper_domain, em_paper_grid
 from .steps import Argument, phase_blocks, phase_diffs
 from .symmetry import (
     conj_region,
     conj_sum_direct,
     conj_sum_predicted,
     frame_of,
-    symmetric_parts,
+    symmetric_grid,
 )
 from .zeros import (
     ZeroRecord,
@@ -66,6 +66,7 @@ CONJUGATE_HEADER = (
 
 STEPPLOT_ROW_GUARD = 10_000_000
 FIGURE_ROW_GUARD = 1_000_000  # rows of one limacon, surface, loops or gram export
+_SLICE = 1 << 14  # values per batched call of a figure, and per tolist()
 
 
 def _guard_rows(figure: str, rows: int, limit: int = FIGURE_ROW_GUARD) -> None:
@@ -115,6 +116,24 @@ def _grid(lo: float, hi: float, k: int) -> List[float]:
     return [lo + (hi - lo) * i / max(k - 1, 1) for i in range(k)]
 
 
+def _batched(grid, sigmas: Sequence[float], ts: Sequence[float]) -> np.ndarray:
+    """em_paper_grid or symmetric_grid over ts, _SLICE values a call (which
+    bounds their temporaries) into one array of 16 B a value, all before
+    the figure's first row."""
+    t, step, out = np.array(ts), max(1, _SLICE // len(sigmas)), None
+    for i in range(0, t.size, step):
+        part = grid(sigmas, t[i : i + step])
+        out = np.empty(part.shape[:-1] + t.shape, dtype=complex) if out is None else out
+        out[..., i : i + step] = part
+    return out
+
+
+def _python(values: np.ndarray) -> Iterator[complex]:
+    """values.tolist() _SLICE at a time: few Python objects live at once."""
+    for i in range(0, values.size, _SLICE):
+        yield from values[i : i + _SLICE].tolist()
+
+
 def export_stepplot(s: Argument, decimation: int = 1) -> Iterator[Tuple]:
     """Rows (n, cumulative sum, angle differences) for n = 1..[t/pi].
 
@@ -156,10 +175,9 @@ def export_limacon(
     tagged = [(t, "sample") for t in _grid(t_lo, t_hi, samples)]
     tagged += [(gram_point(n), "gram") for n in grams]
     tagged.sort(key=lambda item: (item[0], item[1] == "sample"))
-    for t, tag in tagged:
-        p_s, qp = symmetric_parts(Argument(sigma, t))
-        z = p_s + qp
-        yield (t, p_s.real, p_s.imag, qp.real, qp.imag, z.real, z.imag, tag)
+    p, qp = _batched(symmetric_grid, (sigma,), [t for t, _ in tagged])[:, 0]
+    for (t, tag), a, b, z in zip(tagged, _python(p), _python(qp), _python(p + qp)):
+        yield (t, a.real, a.imag, b.real, b.imag, z.real, z.imag, tag)
 
 
 def export_surface(
@@ -174,11 +192,11 @@ def export_surface(
     if n_sigma < 2 or n_t < 2:
         raise DomainError("surface grid counts must be >= 2")
     _guard_rows("surface", n_sigma * n_t)
-    ts = _grid(t_lo, t_hi, n_t)
-    for sigma in _grid(sigma_lo, sigma_hi, n_sigma):
-        for t in ts:
-            p_s, qp = symmetric_parts(Argument(sigma, t))
-            yield (sigma, t, abs(p_s), abs(qp))
+    ts, sigmas = _grid(t_lo, t_hi, n_t), _grid(sigma_lo, sigma_hi, n_sigma)
+    p, qp = _batched(symmetric_grid, sigmas, ts)
+    for sigma, row_p, row_qp in zip(sigmas, p, qp):
+        for t, a, b in zip(ts, _python(row_p), _python(row_qp)):
+            yield (sigma, t, abs(a), abs(b))  # Python's abs: numpy's rounds apart
 
 
 def export_loops(
@@ -195,9 +213,9 @@ def export_loops(
     ts = _grid(t_lo, t_hi, samples)
     for sigma, t in itertools.product(sigma_list, (ts[0], ts[-1])):
         em_paper_domain(Argument(sigma, t))
-    for sigma, t in itertools.product(sigma_list, ts):
-        z = eval_em_paper(Argument(sigma, t)).value
-        yield (sigma, t, z.real, z.imag)
+    for sigma, row in zip(sigma_list, _batched(em_paper_grid, sigma_list, ts)):
+        for t, z in zip(ts, _python(row)):
+            yield (sigma, t, z.real, z.imag)
 
 
 def export_zeros(

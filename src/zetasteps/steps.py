@@ -18,7 +18,7 @@ from .ddmath import REDUCTION_LIMIT, TWOPI, dd_add, dd_log, log_table, phase_fro
 from .errors import DomainError, ResourceGuardError
 
 TABLE_GUARD = 100_000_000  # dd log-table entries, 16 bytes each (1.6 GB)
-_VECTOR_CUTOFF = 16
+ROW_GROUP = 8192  # phase entries (rows x terms) of one step_sums kernel call
 _BLOCK = 1 << 16
 
 
@@ -27,10 +27,11 @@ class Argument:
     """The point s = sigma + i*t."""
 
     sigma: float
-    t: float
+    t: float  # or an ndarray of ordinates, where a function says so
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and math.isfinite(self.t)):
+        t_finite = np.isfinite(self.t).all() if isinstance(self.t, np.ndarray) else math.isfinite(self.t)
+        if not (math.isfinite(self.sigma) and t_finite):
             raise ValueError("sigma and t must be finite")
 
     def conjugate(self) -> "Argument":
@@ -97,21 +98,55 @@ def phase_blocks(t, a: int, b: int, lookahead: int = 0):
         yield lo, hi, phase_from_dd_log(t, log_hi[lo:stop], log_lo[lo:stop])
 
 
+def check_power(base: float, exponent: float) -> float:
+    """base**exponent, or DomainError where it overflows a float."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        raise DomainError(f"{base:.6g}**{exponent:.6g} overflows a float") from None
+
+
 def partial_sum(a: int, b: int, s: Argument) -> complex:
     """Sum of step_term(n, s) for a <= n <= b: np.sum within each kernel
     block, added to a running sum over the blocks.  For t < 0 it is the sum
-    at |t|, conjugated: conj s gives the bit-exact conjugate."""
+    at |t|, conjugated: conj s gives the bit-exact conjugate.  DomainError
+    before the first block where the longest step, b**(-sigma), overflows."""
     if a < 1 or b < a:
         raise ValueError(f"need 1 <= a <= b, got ({a}, {b})")
-    if b - a < _VECTOR_CUTOFF:
-        upper = s.conjugate() if s.t < 0.0 else s
-        total = sum((step_term(n, upper) for n in range(a, b + 1)), 0j)
-    else:
-        total = 0j
-        for lo, hi, theta in phase_blocks(abs(s.t), a, b):
-            lengths = np.arange(lo, hi + 1, dtype=float) ** (-s.sigma)
-            total += complex(np.sum(lengths * np.cos(theta)), np.sum(lengths * np.sin(theta)))
+    check_power(b, -s.sigma)
+    total = 0j
+    for lo, hi, theta in phase_blocks(abs(s.t), a, b):
+        lengths = np.arange(lo, hi + 1, dtype=float) ** (-s.sigma)
+        total += complex(np.sum(lengths * np.cos(theta)), np.sum(lengths * np.sin(theta)))
     return total.conjugate() if s.t < 0.0 else total
+
+
+def step_sums(sigmas, t, n):
+    """(sums, lengths, phases): per sigma (row) and ordinate t_i >= 0 of the
+    1-D array t (column), the sum of k**(-s) over 1 <= k <= n_i, n a float
+    array of whole n_i >= 1, and the length and phase of step n_i.  Rows of
+    one n_i share phase_blocks calls of at most ROW_GROUP entries and their
+    cos and sin; a row is summed as partial_sum sums it, whatever the batch.
+    check_power refuses every sigma at the largest n_i first."""
+    for sigma in sigmas:
+        check_power(n.max(initial=1.0), -sigma)
+    sums = np.zeros((len(sigmas), t.size), dtype=complex)
+    lengths, last = np.empty((len(sigmas), t.size)), np.empty(t.size)
+    order, i = np.argsort(-n, kind="stable"), 0  # longest first: the log table grows once
+    while i < order.size:
+        count = n[order[i]]
+        rows = order[i : i + max(1, int(ROW_GROUP // count))]
+        rows = rows[n[rows] == count]
+        i += rows.size
+        for lo, hi, theta in phase_blocks(t[rows], 1, int(count)):
+            cos, sin, k = np.cos(theta), np.sin(theta), np.arange(lo, hi + 1, dtype=float)
+            for j, sigma in enumerate(sigmas):
+                size = k ** (-sigma)
+                sums.real[j, rows] += np.sum(size * cos, axis=1)
+                sums.imag[j, rows] += np.sum(size * sin, axis=1)
+        last[rows] = theta[:, -1]
+        lengths[:, rows] = [[float(count) ** -sigma] for sigma in sigmas]
+    return sums, lengths, last
 
 
 def phase_diffs(phases):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .ddmath import (
     mod_twopi,
 )
 from .errors import DomainError
-from .steps import Argument, check_reducible, partial_sum, reduced_phase
+from .steps import Argument, check_power, check_reducible, partial_sum, reduced_phase, step_sums
 
 DEGENERATE_COS_EPS = 1e-3
 _SNAP = 32 * 2.220446049250313e-16  # integer-sqrt snap, ~32 ulp relative
@@ -124,76 +124,99 @@ def rs_theta_mod(t):
 
 
 def sqrt_t_over_twopi(t):
-    """sqrt(t/2pi), snapped to an integer when within a few ulps; t is a
-    float or an ndarray.
+    """sqrt(t/2pi) for a float or an ndarray t (an ndarray back either
+    way), snapped to an integer when within a few ulps.
 
     The snap keeps n_p/p stable at arguments constructed as 2*pi*k**2,
     where bare floating point could land infinitesimally below the integer.
     """
-    if isinstance(t, np.ndarray):
-        r = np.sqrt(t / TWOPI)
-        rn = np.rint(r)
-        snap = (rn >= 1.0) & (np.abs(r - rn) <= _SNAP * np.maximum(r, 1.0))
-        return np.where(snap, rn, r)
-    r = math.sqrt(t / TWOPI)
-    rn = round(r)
-    if rn >= 1 and abs(r - rn) <= _SNAP * max(r, 1.0):
-        return float(rn)
-    return r
+    r = np.sqrt(t / TWOPI)
+    rn = np.rint(r)
+    snap = (rn >= 1.0) & (np.abs(r - rn) <= _SNAP * np.maximum(r, 1.0))
+    return np.where(snap, rn, r)
 
 
-def frame_of(t: float) -> SymmetryFrame:
-    """n_p, p and the degeneracy flag for one ordinate; theta_RS is read
-    from the frame on demand."""
-    if t < TWOPI:
-        raise DomainError(f"frame_of needs t >= 2*pi, got {t}")
+def frame_of(t) -> SymmetryFrame:
+    """n_p, p and the degeneracy flag for one ordinate, or arrays of them
+    for an ndarray of ordinates; theta_RS is read from the frame on demand."""
+    low = np.min(t, initial=TWOPI)
+    if low < TWOPI:
+        raise DomainError(f"frame_of needs t >= 2*pi, got {low}")
     r = sqrt_t_over_twopi(t)
-    n_p = int(math.floor(r))
+    n_p = np.floor(r)  # a float array for an ndarray t: it may pass 2**63
     p = r - n_p
-    degenerate = abs(math.cos(TWOPI * p)) < DEGENERATE_COS_EPS
+    degenerate = np.abs(np.cos(TWOPI * p)) < DEGENERATE_COS_EPS
+    if not isinstance(t, np.ndarray):
+        n_p, p, degenerate = int(n_p), float(p), bool(degenerate)
     return SymmetryFrame(t=t, n_p=n_p, p=p, degenerate_p=degenerate)
 
 
-def big_q(s: Argument) -> complex:
+def _shaped(values: np.ndarray, t):
+    """values over np.ravel(t), taken at |t|: conjugated where t < 0, in the
+    shape of an ndarray t, or one complex for a float t (a point is a
+    one-entry batch, with a batch row's bits)."""
+    values.imag[..., np.ravel(t) < 0.0] *= -1.0
+    return values.reshape(t.shape) if isinstance(t, np.ndarray) else complex(values[0])
+
+
+def big_q(s: Argument):
     """The symmetry factor Q(s) = |Q| * exp(2i*Theta), of magnitude
-    (t/2pi)**(1/2-sigma); `SymmetryFrame.q_magnitude` gives the discrete
-    n_p**(1-2*sigma) of the conjugate-region checks."""
-    t = s.t
-    if t < TWOPI:
-        raise DomainError(f"big_q needs t >= 2*pi, got {t}")
+    (t/2pi)**(1/2-sigma), for a float t or an ndarray of them, t >= 2pi;
+    DomainError where |Q| overflows.  `SymmetryFrame.q_magnitude` gives the
+    discrete n_p**(1-2*sigma) of the conjugate-region checks."""
+    t = np.ravel(s.t)
+    low = t.min(initial=TWOPI)
+    if low < TWOPI:
+        raise DomainError(f"big_q needs t >= 2*pi, got {low}")
     hi, lo = _theta_dd(t)
     check_reducible(2.0 * hi)  # refused from t = 7.66e8 on
-    mag = (t / TWOPI) ** (0.5 - s.sigma)
+    check_power(t.max(initial=TWOPI) / TWOPI, 0.5 - s.sigma)
     phase = mod_twopi(-2.0 * hi, -2.0 * lo)
-    return mag * complex(math.cos(phase), math.sin(phase))
+    return _shaped((t / TWOPI) ** (0.5 - s.sigma) * (np.cos(phase) + 1j * np.sin(phase)), s.t)
 
 
-def pendant_offset(s: Argument) -> complex:
-    """The lateral offset L from the half sum to the pendant center.
+def _pendant_parts(sigmas, t: np.ndarray):
+    """(half sums to n_p, pendant offsets L), one row per sigma, at |t| for
+    the 1-D array t, |t| >= 2pi; one step_sums call serves every sigma."""
+    frame = frame_of(np.abs(t))
+    heads, lengths, phi = step_sums(sigmas, frame.t, frame.n_p)
+    ang = phi - TWOPI * frame.p
+    return heads, -lengths / (2.0 * np.cos(TWOPI * frame.p)) * (np.cos(ang) + 1j * np.sin(ang))
+
+
+def pendant_offset(s: Argument):
+    """The lateral offset L from the half sum to the pendant center, for a
+    float t or an ndarray of them; L(conj s) = conj L(s).
 
     Near p = 1/4, 3/4 the magnitude blows up along the symmetry axis; the
     condition is reported through frame_of(t).degenerate_p rather than an
     exception.
     """
-    if s.t < 0.0:
-        return pendant_offset(Argument(s.sigma, -s.t)).conjugate()
-    frame = frame_of(s.t)
-    phi = reduced_phase(s.t, frame.n_p)
-    c = math.cos(TWOPI * frame.p)
-    mag = float(frame.n_p) ** (-s.sigma) / (2.0 * c)
-    ang = phi - TWOPI * frame.p
-    return -mag * cmath.exp(1j * ang)
+    return _shaped(_pendant_parts((s.sigma,), np.ravel(s.t))[1][0], s.t)
 
 
-def center_point(s: Argument) -> complex:
-    """P(s): the half sum to n_p plus the pendant offset; P(conj s) = conj P(s)."""
-    return partial_sum(1, frame_of(abs(s.t)).n_p, s) + pendant_offset(s)
+def center_point(s: Argument):
+    """P(s): the half sum to n_p plus the pendant offset, for a float t or
+    an ndarray of them; P(conj s) = conj P(s)."""
+    return _shaped(np.add(*_pendant_parts((s.sigma,), np.ravel(s.t)))[0], s.t)
 
 
-def symmetric_parts(s: Argument) -> Tuple[complex, complex]:
+def symmetric_grid(sigmas, t: np.ndarray) -> np.ndarray:
+    """P(s) and Q(s) * P(1-s), stacked in shape (2, len(sigmas), t.size), at
+    the ordinates of the 1-D array t >= 2pi: one _pendant_parts call serves
+    every sigma and 1 - sigma.  No sigma range is checked."""
+    p, p1 = np.split(np.add(*_pendant_parts([*sigmas, *(1.0 - x for x in sigmas)], t)), 2)
+    q = np.array([big_q(Argument(x, t)) for x in sigmas])
+    # Python's product q * conj(p1) term for term: numpy's may fuse a multiply-add
+    return np.array([p, q.real * p1.real + q.imag * p1.imag + 1j * (q.imag * p1.real - q.real * p1.imag)])
+
+
+def symmetric_parts(s: Argument):
     """(P(s), Q(s) * P(1-s)), whose sum is zeta(s) in the symmetric form;
-    P(1-s) is conj(P(1-sigma+it)).  No sigma range is checked."""
-    return center_point(s), big_q(s) * center_point(Argument(1.0 - s.sigma, s.t)).conjugate()
+    P(1-s) is conj(P(1-sigma+it)).  For a float t or an ndarray of them; no
+    sigma range is checked."""
+    p, qp = symmetric_grid((s.sigma,), np.ravel(s.t))[:, 0]
+    return _shaped(p, s.t), _shaped(qp, s.t)
 
 
 def conj_region(n: int, t: float) -> ConjugateRegion:

@@ -39,3 +39,23 @@ def gram_recorder(monkeypatch):
 
     monkeypatch.setattr(zeros, "gram_point", recorder)
     yield calls
+
+
+@pytest.fixture
+def phase_recorder(monkeypatch):
+    """Record the (rows, columns) of every block the step kernel yields and
+    fail a block of more than ROW_GROUP entries on more than one row, so a
+    batch that outgrows its group fails without holding it.  Yields the
+    list of shapes."""
+    shapes = []
+    phase_blocks = steps.phase_blocks
+
+    def recorder(*args, **kwargs):
+        for lo, hi, phases in phase_blocks(*args, **kwargs):
+            rows, cols = phases.shape if phases.ndim == 2 else (1, phases.size)
+            shapes.append((rows, cols))
+            assert rows == 1 or rows * cols <= steps.ROW_GROUP, f"{rows} x {cols} phase block"
+            yield lo, hi, phases
+
+    monkeypatch.setattr(steps, "phase_blocks", recorder)
+    yield shapes

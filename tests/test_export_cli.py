@@ -266,6 +266,84 @@ def test_symmetric_parts_behind_evaluator_and_exports():
         assert next(export_surface(sigma, sigma + 0.1, t, t + 0.5, 2, 2)) == (sigma, t, abs(p), abs(qp))
 
 
+def hexes(row):
+    return tuple(v.hex() if isinstance(v, float) else v for v in row)
+
+
+class TestBatchedFigures:
+    # one batched call per figure: every row keeps the bits of its own
+    # one-point call, across changes of the term count N = [t/pi] (loops)
+    # and n_p (limacon and surface, here n_p = 15 | 16 at t = 2pi*16**2)
+    SIGMAS = (0.25, 0.5, 0.8)
+
+    def test_loops_rows_equal_point_calls(self, phase_recorder):
+        rnd = random.Random(20261019)
+        t_lo = rnd.uniform(2000.0, 2005.0)
+        rows = list(export_loops(self.SIGMAS, t_lo, t_lo + 7.0, 301))
+        assert len({int(r[1] / math.pi) for r in rows}) >= 3
+        for sigma, t, re_, im_ in rows:
+            z = eval_em_paper(Argument(sigma, t)).value
+            assert hexes((re_, im_)) == hexes((z.real, z.imag)), (sigma, t)
+        assert max(rows for rows, _ in phase_recorder) > 1  # batched, in groups
+
+    def test_loops_negative_t_rows_are_conjugates(self):
+        rnd = random.Random(20261020)
+        t_lo = rnd.uniform(300.0, 305.0)
+        up = list(export_loops(self.SIGMAS, t_lo, t_lo + 9.0, 101))
+        down = list(export_loops(self.SIGMAS, -t_lo, -t_lo - 9.0, 101))
+        assert [hexes(r) for r in down] == [hexes((s, -t, x, -y)) for s, t, x, y in up]
+
+    def test_limacon_rows_equal_point_calls(self, phase_recorder):
+        rnd = random.Random(20261021)
+        edge = TWOPI * 16.0**2
+        for sigma in self.SIGMAS:
+            t_lo = edge - rnd.uniform(0.5, 1.5)
+            rows = list(export_limacon(sigma, t_lo, t_lo + 2.0, 41))
+            assert {frame_of(r[0]).n_p for r in rows} == {15, 16}
+            for row in rows:
+                p, qp = symmetric_parts(Argument(sigma, row[0]))
+                want = (row[0], p.real, p.imag, qp.real, qp.imag, (p + qp).real, (p + qp).imag, row[7])
+                assert hexes(row) == hexes(want), (sigma, row[0])
+        assert max(rows for rows, _ in phase_recorder) > 1
+
+    def test_surface_rows_equal_point_calls(self, phase_recorder):
+        rnd = random.Random(20261022)
+        t_lo = TWOPI * 25.0 - rnd.uniform(0.5, 1.5)
+        rows = list(export_surface(0.25, 0.75, t_lo, t_lo + 2.0, 3, 31))
+        assert {frame_of(r[1]).n_p for r in rows} == {4, 5}
+        assert sorted({r[0] for r in rows}) == [0.25, 0.5, 0.75]
+        for sigma, t, ap, aq in rows:
+            p, qp = symmetric_parts(Argument(sigma, t))
+            assert hexes((ap, aq)) == hexes((abs(p), abs(qp))), (sigma, t)
+
+    def test_array_t_equals_point_calls(self):
+        # the public point functions take an ndarray of t, row for row
+        rng = np.random.default_rng(20261023)
+        ts = np.concatenate([rng.uniform(50.0, 3000.0, 40), -rng.uniform(TWOPI, 3000.0, 10)])
+        for sigma in self.SIGMAS:
+            got = eval_em_paper(Argument(sigma, ts[ts > 50.0]))
+            want = [eval_em_paper(Argument(sigma, float(t))) for t in ts[ts > 50.0]]
+            assert [hexes((z.real, z.imag)) for z in got.value] == [
+                hexes((w.value.real, w.value.imag)) for w in want]
+            assert got.terms_used.tolist() == [w.terms_used for w in want]
+            for f in (zetasteps.center_point, zetasteps.pendant_offset):
+                batch = f(Argument(sigma, ts.reshape(5, 10)))
+                assert batch.shape == (5, 10)
+                points = [f(Argument(sigma, float(t))) for t in ts]
+                assert [hexes((z.real, z.imag)) for z in batch.ravel()] == [
+                    hexes((z.real, z.imag)) for z in points]
+            up = ts[ts > 0.0]
+            q, (p, qp) = zetasteps.big_q(Argument(sigma, up)), symmetric_parts(Argument(sigma, up))
+            for i, t in enumerate(up.tolist()):
+                pt = symmetric_parts(Argument(sigma, t))
+                assert hexes((p[i].real, p[i].imag, qp[i].real, qp[i].imag)) == hexes(
+                    (pt[0].real, pt[0].imag, pt[1].real, pt[1].imag))
+                qt = zetasteps.big_q(Argument(sigma, t))
+                assert hexes((q[i].real, q[i].imag)) == hexes((qt.real, qt.imag))
+        empty = Argument(0.5, np.array([]))
+        assert eval_em_paper(empty).value.shape == symmetric_parts(empty)[1].shape == (0,)
+
+
 class TestLoopsZerosHistogram:
     def test_single_sample_equals_evaluator(self):
         rows = list(export_loops([0.5], 2000.0, 2010.0, 1))
@@ -527,16 +605,17 @@ class TestCli:
         ("loops", "--t-lo", "100", "--t-hi", "101", "--samples", "3"),
     ])
     def test_late_domain_error_leaves_no_file(self, argv, tmp_path, monkeypatch, capsys):
-        # every argument passes the exporters' checks, so the row function
-        # is made to raise from its second call: after the first row
-        name = "eval_em_paper" if argv[0] == "loops" else "symmetric_parts"
+        # every argument passes the exporters' checks, so the exporter is
+        # made to raise when its second row is asked for: after the first row
+        name = f"export_{argv[0]}"
         real, calls = getattr(ex, name), []
 
         def fails_late(*args):
-            calls.append(args)
-            if len(calls) > 1:
-                raise DomainError("injected after the first row")
-            return real(*args)
+            for row in real(*args):
+                calls.append(row)
+                if len(calls) > 1:
+                    raise DomainError("injected after the first row")
+                yield row
 
         monkeypatch.setattr(ex, name, fails_late)
         out = tmp_path / "out.csv"
@@ -642,6 +721,18 @@ class TestCli:
         assert out == "" and "overflows" in err
         assert self.run(*argv, "--out", str(tmp_path / "c.csv")) == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("conjugate", "--sigma=-1000", "--t", "20"),
+        ("limacon", "--sigma=-400", "--t-lo", "1419", "--t-hi", "1420", "--samples", "2"),
+        ("limacon", "--sigma=-200", "--t-lo", "1419", "--t-hi", "1420", "--samples", "2"),
+    ])
+    def test_overflowing_step_or_q_exit_two(self, argv, capsys):
+        # the longest step n**(-sigma) (or |Q| at sigma = -200) overflows a
+        # float: refused before the first block, so nothing is written
+        assert self.run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "overflows" in err
 
     def test_json_lines_format(self, capsys):
         assert self.run("limacon", "--t-lo", "100", "--t-hi", "101",

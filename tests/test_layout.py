@@ -50,6 +50,21 @@ def test_import_loads_neither_decimal_nor_fractions():
     assert (proc.returncode, proc.stdout) == (0, "False False\n"), proc.stderr
 
 
+def test_batched_figures_leave_numpy_ma_unimported():
+    # The figure batches group rows by term count with a sort, not
+    # np.unique, whose first call imports numpy.ma: 1.7 MB of peak RSS
+    # for a process that runs the figures.
+    code = ("import sys, zetasteps.export as ex\n"
+            "list(ex.export_limacon(0.5, 1419.0, 1420.0, 5))\n"
+            "list(ex.export_surface(0.0, 1.0, 124.0, 125.0, 3, 4))\n"
+            "list(ex.export_loops([0.5, 0.505], 2000.0, 2001.0, 5))\n"
+            "print('numpy.ma' in sys.modules)")
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_no_module_imports_threads_or_processes():
     # The GIL-bound zero-search pool was slower than one thread on 2 CPUs:
     # `zeros --t-lo 10 --t-hi 1000` took 1.95-2.23 s with 2 threads against

@@ -19,7 +19,7 @@ from zetasteps import (
     step_term,
 )
 from zetasteps.ddmath import REDUCTION_LIMIT, _dd_log, phase_from_dd_log
-from zetasteps.steps import _BLOCK, TABLE_GUARD, phase_blocks
+from zetasteps.steps import _BLOCK, TABLE_GUARD, phase_blocks, step_sums
 
 mpmath.mp.dps = 40
 TWOPI = 2.0 * math.pi
@@ -239,6 +239,21 @@ class TestPartialSum:
         whole = partial_sum(1, b, s)
         split = partial_sum(1, a - 1, s) + partial_sum(a, b, s)
         assert abs(whole - split) < 1e-12 * max(1.0, abs(whole))
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("b", [10, 40])
+    def test_longest_step_overflow_is_a_domain_error(self, b, table_recorder):
+        # the longest step b**400 overflows a float at either b: refused
+        # before the first block asks for the log table
+        with pytest.raises(DomainError, match="overflows"):
+            partial_sum(1, b, Argument(-400.0, 100.0))
+        assert table_recorder == []
+
+    def test_step_sums_check_every_sigma_first(self, table_recorder):
+        with pytest.raises(DomainError, match="overflows"):
+            step_sums((0.5, -400.0), np.array([100.0, 200.0]), np.array([5.0, 10.0]))
+        assert table_recorder == []
 
 
 class TestAngleDiffs:

@@ -308,12 +308,9 @@ def eval_symmetric(s: Argument) -> EvalResult:
     `symmetric_parts` for sigma in (0, 1); degeneracy of p is propagated as
     a flag.
     """
-    if s.t < 0.0:
-        res = eval_symmetric(Argument(s.sigma, -s.t))
-        return replace(res, value=res.value.conjugate())
     if not (0.0 < s.sigma < 1.0):
         raise DomainError(f"eval_symmetric needs sigma in (0, 1), got {s.sigma}")
-    frame = frame_of(s.t)
+    frame = frame_of(abs(s.t))
     p_s, qp = symmetric_parts(s)
     flags = frozenset({FLAG_DEGENERATE_P}) if frame.degenerate_p else frozenset()
     return EvalResult(p_s + qp, "symmetric", 2 * frame.n_p, flags)

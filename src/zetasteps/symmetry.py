@@ -54,8 +54,9 @@ class SymmetryFrame:
         return -self.theta_rs
 
     def q_magnitude(self, sigma: float) -> float:
-        """The discrete |Q| = n_p**(1-2*sigma) of the conjugate-region checks."""
-        return float(self.n_p) ** (1.0 - 2.0 * sigma)
+        """The discrete |Q| = n_p**(1-2*sigma) of the conjugate-region checks
+        at one ordinate; DomainError where it overflows."""
+        return check_power(self.n_p, 1.0 - 2.0 * sigma)
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,8 @@ class PredictedSum(NamedTuple):
 
 def _theta_dd(t):
     """theta_RS(t) = (t/2)(log t - log 2*pi*e) - pi/8 + 1/48t + 7/5760t^3
-    as a dd pair, for a float or an ndarray of ordinates t >= 2*pi.
+    as a dd pair, for a float or an ndarray of ordinates t >= 2*pi (an empty
+    array passes).  The one check of the 2*pi floor for every theta reader.
 
     log t = log(ref) + x + (log1p(x) - x), ref = round(t), x = (t - ref)/ref:
     t - ref is exact (Sterbenz), log(ref) is the dd log of an integer, which
@@ -86,12 +88,12 @@ def _theta_dd(t):
     plain-double tail costs at most (t/2)*ulp(x) < 1e-16 rad.  The tail and
     the small series terms ride in lo words (rounding < 1e-18 rad).
     """
-    if isinstance(t, np.ndarray):
-        ref = np.maximum(np.rint(t), 1.0)
-        log_ref, cast = _dd_log(ref), np.asarray
-    else:
-        ref = float(max(round(t), 1))
-        log_ref, cast = dd_log(ref), float
+    array = isinstance(t, np.ndarray)
+    low = t.min(initial=TWOPI) if array else t
+    if low < TWOPI:
+        raise DomainError(f"theta_RS needs t >= 2*pi, got {low}")
+    ref = np.rint(t) if array else float(round(t))
+    log_ref, cast = (_dd_log(ref), np.asarray) if array else (dd_log(ref), float)
     xh, xl = dd_div(t - ref, ref)
     h, l = dd_add(*log_ref, -LOG_TWOPI_E_HI, -LOG_TWOPI_E_LO)
     # np.log1p for a float too (math.log1p rounds apart): the array's bits
@@ -101,12 +103,11 @@ def _theta_dd(t):
     return dd_add(h, l, -PI8_HI, small - PI8_LO)
 
 
-def rs_theta(t: float) -> float:
-    """theta_RS(t) = (t/2)log(t/2pi) - t/2 - pi/8 + 1/48t + 7/5760t^3, t >= 2*pi.
+def rs_theta(t):
+    """theta_RS(t) = (t/2)log(t/2pi) - t/2 - pi/8 + 1/48t + 7/5760t^3 for a
+    float or an ndarray of ordinates t >= 2*pi (an ndarray back for one).
     Its error against mpmath.siegeltheta, about the first dropped term
     31/(80640 t^5), is 4.1e-8 at t = 2*pi, 1.2e-8 at 8 and 3.9e-9 at 10."""
-    if t < TWOPI:
-        raise DomainError(f"rs_theta needs t >= 2*pi, got {t}")
     hi, lo = _theta_dd(t)
     return hi + lo
 
@@ -115,9 +116,6 @@ def rs_theta_mod(t):
     """theta_RS(t) reduced into [0, 2*pi), within 4*ulp(2*pi) of the series,
     for a float or an ndarray of ordinates t >= 2*pi (an empty array gives an
     empty array); the reduction limit refuses theta from t = 1.48e9 on."""
-    low = t.min(initial=TWOPI) if isinstance(t, np.ndarray) else t
-    if low < TWOPI:
-        raise DomainError(f"rs_theta needs t >= 2*pi, got {low}")
     hi, lo = _theta_dd(t)
     check_reducible(hi)
     return mod_twopi(hi, lo)
@@ -152,36 +150,38 @@ def frame_of(t) -> SymmetryFrame:
 
 
 def _shaped(values: np.ndarray, t):
-    """values over np.ravel(t), taken at |t|: conjugated where t < 0, in the
-    shape of an ndarray t, or one complex for a float t (a point is a
-    one-entry batch, with a batch row's bits)."""
-    values.imag[..., np.ravel(t) < 0.0] *= -1.0
+    """values over np.ravel(t) in the shape of an ndarray t, or one complex
+    for a float t (a point is a one-entry batch, with a batch row's bits)."""
     return values.reshape(t.shape) if isinstance(t, np.ndarray) else complex(values[0])
 
 
 def big_q(s: Argument):
     """The symmetry factor Q(s) = |Q| * exp(2i*Theta), of magnitude
-    (t/2pi)**(1/2-sigma), for a float t or an ndarray of them, t >= 2pi;
-    DomainError where |Q| overflows.  `SymmetryFrame.q_magnitude` gives the
-    discrete n_p**(1-2*sigma) of the conjugate-region checks."""
+    (|t|/2pi)**(1/2-sigma), for a float t or an ndarray of them, |t| >= 2pi;
+    Q(conj s) = conj Q(s).  DomainError where |Q| overflows.
+    `SymmetryFrame.q_magnitude` gives the discrete n_p**(1-2*sigma) of the
+    conjugate-region checks."""
     t = np.ravel(s.t)
-    low = t.min(initial=TWOPI)
-    if low < TWOPI:
-        raise DomainError(f"big_q needs t >= 2*pi, got {low}")
-    hi, lo = _theta_dd(t)
+    a = np.abs(t)
+    hi, lo = _theta_dd(a)
     check_reducible(2.0 * hi)  # refused from t = 7.66e8 on
-    check_power(t.max(initial=TWOPI) / TWOPI, 0.5 - s.sigma)
+    check_power(a.max(initial=TWOPI) / TWOPI, 0.5 - s.sigma)
     phase = mod_twopi(-2.0 * hi, -2.0 * lo)
-    return _shaped((t / TWOPI) ** (0.5 - s.sigma) * (np.cos(phase) + 1j * np.sin(phase)), s.t)
+    q = (a / TWOPI) ** (0.5 - s.sigma) * (np.cos(phase) + 1j * np.sin(phase))
+    q.imag[t < 0.0] *= -1.0  # conj at |t|
+    return _shaped(q, s.t)
 
 
-def _pendant_parts(sigmas, t: np.ndarray):
-    """(half sums to n_p, pendant offsets L), one row per sigma, at |t| for
-    the 1-D array t, |t| >= 2pi; one step_sums call serves every sigma."""
+def _pendant_parts(sigmas, t: np.ndarray) -> np.ndarray:
+    """(half sums to n_p, pendant offsets L) in shape (2, len(sigmas), t.size)
+    at the 1-D array t, |t| >= 2pi; one step_sums call serves every sigma."""
     frame = frame_of(np.abs(t))
     heads, lengths, phi = step_sums(sigmas, frame.t, frame.n_p)
     ang = phi - TWOPI * frame.p
-    return heads, -lengths / (2.0 * np.cos(TWOPI * frame.p)) * (np.cos(ang) + 1j * np.sin(ang))
+    offsets = -lengths / (2.0 * np.cos(TWOPI * frame.p)) * (np.cos(ang) + 1j * np.sin(ang))
+    parts = np.array([heads, offsets])
+    parts.imag[..., t < 0.0] *= -1.0  # conj at |t|
+    return parts
 
 
 def pendant_offset(s: Argument):
@@ -203,8 +203,9 @@ def center_point(s: Argument):
 
 def symmetric_grid(sigmas, t: np.ndarray) -> np.ndarray:
     """P(s) and Q(s) * P(1-s), stacked in shape (2, len(sigmas), t.size), at
-    the ordinates of the 1-D array t >= 2pi: one _pendant_parts call serves
-    every sigma and 1 - sigma.  No sigma range is checked."""
+    the ordinates of the 1-D array t, |t| >= 2pi: one _pendant_parts call
+    serves every sigma and 1 - sigma.  Where t < 0 its inputs come conjugated,
+    and so, bit for bit, does Q * conj(P(1-s)).  No sigma range is checked."""
     p, p1 = np.split(np.add(*_pendant_parts([*sigmas, *(1.0 - x for x in sigmas)], t)), 2)
     q = np.array([big_q(Argument(x, t)) for x in sigmas])
     # Python's product q * conj(p1) term for term: numpy's may fuse a multiply-add
@@ -213,8 +214,8 @@ def symmetric_grid(sigmas, t: np.ndarray) -> np.ndarray:
 
 def symmetric_parts(s: Argument):
     """(P(s), Q(s) * P(1-s)), whose sum is zeta(s) in the symmetric form;
-    P(1-s) is conj(P(1-sigma+it)).  For a float t or an ndarray of them; no
-    sigma range is checked."""
+    P(1-s) is conj(P(1-sigma+it)).  For a float t or an ndarray of them,
+    conjugated at conj s; no sigma range is checked."""
     p, qp = symmetric_grid((s.sigma,), np.ravel(s.t))[:, 0]
     return _shaped(p, s.t), _shaped(qp, s.t)
 
@@ -249,10 +250,7 @@ def conj_sum_predicted(n: int, s: Argument) -> PredictedSum:
     region = conj_region(n, s.t)
     phi_n = reduced_phase(s.t, n)
     phi_c = reduced_phase(s.t, region.N_center)
-    try:
-        mag = frame.q_magnitude(s.sigma) * float(n) ** (s.sigma - 1.0)
-    except OverflowError:
-        raise DomainError(f"conjugate prediction at sigma = {s.sigma}, n = {n} overflows") from None
+    mag = frame.q_magnitude(s.sigma) * check_power(n, s.sigma - 1.0)
     ang = 2.0 * phi_c - phi_n - 0.25 * math.pi
     value = mag * cmath.exp(1j * ang)
     return PredictedSum(value, accuracy_unguaranteed=(n > frame.n_p / 4))

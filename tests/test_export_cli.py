@@ -270,6 +270,11 @@ def hexes(row):
     return tuple(v.hex() if isinstance(v, float) else v for v in row)
 
 
+def complex_hexes(values):
+    """float.hex of the real and imaginary part of each value, in order."""
+    return [(z.real.hex(), z.imag.hex()) for z in np.ravel(values)]
+
+
 class TestBatchedFigures:
     # one batched call per figure: every row keeps the bits of its own
     # one-point call, across changes of the term count N = [t/pi] (loops)
@@ -294,14 +299,17 @@ class TestBatchedFigures:
         assert [hexes(r) for r in down] == [hexes((s, -t, x, -y)) for s, t, x, y in up]
 
     def test_limacon_rows_equal_point_calls(self, phase_recorder):
+        # a row over a negative range is the conjugate of the one at -t
         rnd = random.Random(20261021)
         edge = TWOPI * 16.0**2
         for sigma in self.SIGMAS:
             t_lo = edge - rnd.uniform(0.5, 1.5)
             rows = list(export_limacon(sigma, t_lo, t_lo + 2.0, 41))
-            assert {frame_of(r[0]).n_p for r in rows} == {15, 16}
-            for row in rows:
-                p, qp = symmetric_parts(Argument(sigma, row[0]))
+            down = list(export_limacon(sigma, -t_lo - 2.0, -t_lo, 41))
+            assert {frame_of(r[0]).n_p for r in rows} == {frame_of(-r[0]).n_p for r in down} == {15, 16}
+            for row in rows + down:
+                p, qp = (z.conjugate() if row[0] < 0.0 else z
+                         for z in symmetric_parts(Argument(sigma, abs(row[0]))))
                 want = (row[0], p.real, p.imag, qp.real, qp.imag, (p + qp).real, (p + qp).imag, row[7])
                 assert hexes(row) == hexes(want), (sigma, row[0])
         assert max(rows for rows, _ in phase_recorder) > 1
@@ -310,14 +318,16 @@ class TestBatchedFigures:
         rnd = random.Random(20261022)
         t_lo = TWOPI * 25.0 - rnd.uniform(0.5, 1.5)
         rows = list(export_surface(0.25, 0.75, t_lo, t_lo + 2.0, 3, 31))
-        assert {frame_of(r[1]).n_p for r in rows} == {4, 5}
+        down = list(export_surface(0.25, 0.75, -t_lo - 2.0, -t_lo, 3, 31))
+        assert {frame_of(r[1]).n_p for r in rows} == {frame_of(-r[1]).n_p for r in down} == {4, 5}
         assert sorted({r[0] for r in rows}) == [0.25, 0.5, 0.75]
-        for sigma, t, ap, aq in rows:
-            p, qp = symmetric_parts(Argument(sigma, t))
+        for sigma, t, ap, aq in rows + down:  # a negative t has the moduli of -t
+            p, qp = symmetric_parts(Argument(sigma, abs(t)))
             assert hexes((ap, aq)) == hexes((abs(p), abs(qp))), (sigma, t)
 
     def test_array_t_equals_point_calls(self):
-        # the public point functions take an ndarray of t, row for row
+        # the public point functions take an ndarray of t, row for row, and
+        # give the conjugate at conj s, bit for bit, for a float t and an ndarray
         rng = np.random.default_rng(20261023)
         ts = np.concatenate([rng.uniform(50.0, 3000.0, 40), -rng.uniform(TWOPI, 3000.0, 10)])
         for sigma in self.SIGMAS:
@@ -326,20 +336,18 @@ class TestBatchedFigures:
             assert [hexes((z.real, z.imag)) for z in got.value] == [
                 hexes((w.value.real, w.value.imag)) for w in want]
             assert got.terms_used.tolist() == [w.terms_used for w in want]
-            for f in (zetasteps.center_point, zetasteps.pendant_offset):
+            for f in (zetasteps.center_point, zetasteps.pendant_offset, zetasteps.big_q,
+                      lambda s: symmetric_parts(s)[0], lambda s: symmetric_parts(s)[1]):
                 batch = f(Argument(sigma, ts.reshape(5, 10)))
                 assert batch.shape == (5, 10)
                 points = [f(Argument(sigma, float(t))) for t in ts]
-                assert [hexes((z.real, z.imag)) for z in batch.ravel()] == [
-                    hexes((z.real, z.imag)) for z in points]
-            up = ts[ts > 0.0]
-            q, (p, qp) = zetasteps.big_q(Argument(sigma, up)), symmetric_parts(Argument(sigma, up))
-            for i, t in enumerate(up.tolist()):
-                pt = symmetric_parts(Argument(sigma, t))
-                assert hexes((p[i].real, p[i].imag, qp[i].real, qp[i].imag)) == hexes(
-                    (pt[0].real, pt[0].imag, pt[1].real, pt[1].imag))
-                qt = zetasteps.big_q(Argument(sigma, t))
-                assert hexes((q[i].real, q[i].imag)) == hexes((qt.real, qt.imag))
+                assert complex_hexes(batch) == complex_hexes(points)
+                assert complex_hexes(f(Argument(sigma, -ts.reshape(5, 10)))) == complex_hexes(np.conj(batch))
+                mirrored = [f(Argument(sigma, -float(t))) for t in ts]
+                assert complex_hexes(mirrored) == complex_hexes(np.conj(points))
+            for t in ts.tolist():
+                z, mirrored = (eval_symmetric(Argument(sigma, x)).value for x in (t, -t))
+                assert complex_hexes(mirrored) == complex_hexes(z.conjugate())
         empty = Argument(0.5, np.array([]))
         assert eval_em_paper(empty).value.shape == symmetric_parts(empty)[1].shape == (0,)
 

@@ -167,4 +167,25 @@ def test_two_pi_floor_checked_by_its_readers():
                 isinstance(n, ast.If) and floor_check(n) for n in ast.walk(fn)
             ):
                 checkers.add(fn.name)
-    assert sorted(checkers) == ["big_q", "frame_of", "rs_theta", "rs_theta_mod", "scan_z_sign_changes"]
+    assert sorted(checkers) == ["_theta_dd", "frame_of", "scan_z_sign_changes"]
+
+
+def test_symmetric_form_reflects_once_per_grid():
+    # Each symmetric-form grid takes its values at |t| and negates the
+    # imaginary part where t < 0; the point functions reflect through the
+    # grid they call.  So _shaped only restores the caller's shape, and no
+    # function recurses on -t, except eval_reference, whose recursion keeps
+    # the oracle's phase reduced.
+    recursive = []
+    for name in ("symmetry.py", "evaluators.py"):
+        for fn in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(n, ast.Call) and getattr(n.func, "id", None) == fn.name
+                for n in ast.walk(fn)
+            ):
+                recursive.append(fn.name)
+    assert recursive == ["eval_reference"]
+    tree = ast.parse((SRC / "symmetry.py").read_text())
+    (shaped,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_shaped"]
+    attrs = {n.attr for n in ast.walk(shaped) if isinstance(n, ast.Attribute)}
+    assert not {"imag", "conj", "conjugate"} & attrs

@@ -103,11 +103,18 @@ class TestTheta:
         def as_array(t):
             return rs_theta_mod(np.array([t, 10.0]))
 
-        for entry in (rs_theta, rs_theta_mod, z_reference, as_array):
+        def theta_of_array(t):
+            return rs_theta(np.array([10.0, t]))
+
+        for entry in (rs_theta, rs_theta_mod, z_reference, as_array, theta_of_array):
             for t in (5.0, below):
                 with pytest.raises(DomainError):
                     entry(t)
+        # one floor check, _theta_dd's, serves every reader and its message
+        with pytest.raises(DomainError, match=r"^theta_RS needs t >= 2\*pi, got 5.0$"):
+            theta_of_array(5.0)
         assert rs_theta(TWOPI) < 0.0 and 0.0 <= rs_theta_mod(TWOPI) < TWOPI
+        assert rs_theta(np.array([])).shape == rs_theta_mod(np.array([])).shape == (0,)
 
 
 def mp_theta_series(t):
@@ -164,6 +171,11 @@ class TestThetaContract:
         fr = frame_of(t)
         assert fr.theta_rs == rs_theta(t)
         assert fr.Theta == -rs_theta(t)
+        # an ndarray of ordinates reads the bits of its point calls
+        ts = np.array([TWOPI, 100.0, t, 2000.0])
+        frames, points = frame_of(ts), [rs_theta(float(x)) for x in ts]
+        assert frames.theta_rs.tolist() == rs_theta(ts).tolist() == points
+        assert frames.Theta.tolist() == [-x for x in points]
 
         def no_theta(_t):
             raise AssertionError("frame_of computed theta")
@@ -234,6 +246,11 @@ class TestBigQ:
         assert frame_of(TWOPI * 1e6).q_magnitude(0.0) == pytest.approx(
             1000.0, rel=1e-12
         )
+        # an overflowing power is a DomainError, as every other one is
+        with pytest.raises(DomainError, match=r"^12\*\*2001 overflows a float$"):
+            frame_of(1000.0).q_magnitude(-1000.0)
+        with pytest.raises(DomainError, match=r"^3\*\*999 overflows a float$"):
+            conj_sum_predicted(3, Argument(1000.0, 1000.0))
 
     def test_phase_is_minus_two_theta(self):
         t = 5000.0

@@ -38,8 +38,8 @@ def two_sum(a, b):
 
 def split(a):
     c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
+    c -= c - a  # the hi word; in place for an ndarray
+    return c, a - c
 
 
 def two_prod(a, b):
@@ -193,16 +193,28 @@ def log_table(nmax: int):
 
 def mod_twopi(big, rest):
     """Reduce big + rest into [0, 2*pi), for floats or ndarrays alike, with
-    |big + rest| < REDUCTION_LIMIT: q*C1 and q*C2 are exact (Cody-Waite)."""
-    q = ((big + rest) * _INV_TWOPI + _ROUNDER) - _ROUNDER  # nearest integer
-    r = ((big - q * TWOPI_C1) - q * TWOPI_C2) + (rest - q * TWOPI_C3)
-    r = r + TWOPI * (r < 0.0)  # may round up to exactly TWOPI: wrapped next
-    return r - TWOPI * (r >= TWOPI)
+    |big + rest| < REDUCTION_LIMIT: q*C1 and q*C2 are exact (Cody-Waite).
+    r = ((big - q*C1) - q*C2) + (rest - q*C3), its augmented assignments
+    in place for an ndarray (fewer temporaries, the same bits)."""
+    q = big + rest
+    q *= _INV_TWOPI
+    q += _ROUNDER
+    q -= _ROUNDER  # nearest integer
+    r = big - q * TWOPI_C1
+    r -= q * TWOPI_C2
+    r += rest - q * TWOPI_C3
+    r += TWOPI * (r < 0.0)  # may round up to exactly TWOPI: wrapped next
+    r -= TWOPI * (r >= TWOPI)
+    return r
 
 
 def phase_from_dd_log(t, lh, ll):
     """((-t) * log) mod 2*pi for a dd log value (floats or ndarrays); the
-    product of the 26-bit halves th*hh is exact, the rest is summed apart."""
+    product of the 26-bit halves th*hh is exact, the rest is summed apart
+    as (th*hl + tl*hh) + (tl*hl - t*ll), in place for an ndarray."""
     th, tl = split(-t)
     hh, hl = split(lh)
-    return mod_twopi(th * hh, (th * hl + tl * hh) + (tl * hl - t * ll))
+    rest = th * hl
+    rest += tl * hh
+    rest += tl * hl - t * ll
+    return mod_twopi(th * hh, rest)

@@ -6,20 +6,21 @@
 * rs_z            - the real Riemann-Siegel line function with Gabcke's
                     C0-C4 remainder, on a float or an ndarray of ordinates.
 * eval_reference  - an adaptive Euler-Maclaurin evaluation with explicit
-                    Bernoulli terms; the ground-truth oracle of the build.
+                    Bernoulli terms, on a float or an ndarray of ordinates;
+                    the ground-truth oracle of the build.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import FrozenSet
 
 import numpy as np
 
 from .errors import DomainError, ToleranceError
-from .steps import _BLOCK, Argument, partial_sum, phase_blocks, reduced_phase, step_sums
+from .steps import _BLOCK, Argument, phase_blocks, step_sums
 from .symmetry import TWOPI, frame_of, rs_theta_mod, sqrt_t_over_twopi, symmetric_parts
 
 FLAG_DEGENERATE_P = "degenerate_p"
@@ -40,69 +41,96 @@ _BERNOULLI = (
     (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
     (-3617, 510), (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730),
 )
-_BERNOULLI_MAX_K = len(_BERNOULLI)
-_B_OVER_FACT = {
-    k: num / (den * math.factorial(2 * k)) for k, (num, den) in enumerate(_BERNOULLI, 1)
-}
+_B_OVER_FACT = np.array([num / (den * math.factorial(2 * k))
+                         for k, (num, den) in enumerate(_BERNOULLI, 1)])
+_SHIFTS = np.arange(1.0, 2.0 * len(_BERNOULLI) + 1.0)  # m = 1..24 of s + m
 
 
-def _em_tail(s: complex, phi_n: float, n: int, target: float):
-    """Integral, half-step and Bernoulli corrections at truncation n.
-
-    Returns (tail_value, error_estimate, corrections_used).
+def _em_rows(sigma: float, a: np.ndarray, n: np.ndarray, target: float):
+    """One Euler-Maclaurin pass at s = sigma + i*a, a >= 0, truncated at the
+    whole n >= 0.7(a + |sigma|), n >= 32: (values, error estimates,
+    Bernoulli orders used).  The head sums k**(-s) to n (one step_sums
+    call); the tail is n*w/(s - 1) - w/2, w = n**(-s), plus the orders
+    k = 1..12 of B_2k/(2k)! s(s+1)...(s+2k-2) n**(-s-2k+1), formed at once
+    as a cumprod of their ratios.  Order k's estimate bounds the rest by
+    its next term, |term_k| q_k / (1 - q_k), q_k = |(s+2k-1)(s+2k)|/(2 pi n)**2,
+    which such an n keeps below 1/8.  Each row stops at its first order
+    whose estimate is <= target/4, else at order 12.
     """
-    n_pow_minus_s = float(n) ** (-s.real) * cmath.exp(1j * phi_n)
-    tail = float(n) * n_pow_minus_s / (s - 1.0) + 0.5 * n_pow_minus_s
-    term = n_pow_minus_s / float(n)  # N**(-s-2k+1) at order k
-    poch = s  # s(s+1)...(s+2k-2) at order k
-    for k in range(1, _BERNOULLI_MAX_K + 1):
-        contrib = _B_OVER_FACT[k] * poch * term
-        tail += contrib
-        ratio = abs(s + 2 * k - 1) * abs(s + 2 * k) / (TWOPI * n) ** 2
-        nxt = abs(contrib) * ratio
-        err = nxt / max(1e-16, 1.0 - min(ratio, 0.5)) if ratio < 1.0 else math.inf
-        if err <= target / 4.0:
+    sums, lengths, phases = step_sums((sigma,), a, n)
+    # Below t = 1 the tail's 1/(s - 1) would scale up the rounding of a
+    # phase reduced into [0, 2pi); -t log n is small and exact enough.
+    phi = np.where(a < 1.0, -a * np.log(n), phases)
+    w = lengths[0] * (np.cos(phi) + 1j * np.sin(phi))
+    s = sigma + 1j * a
+    z = s[:, None] + _SHIFTS
+    pairs = z[:, ::2] * z[:, 1::2]  # (s + 2k - 1)(s + 2k), k = 1..12
+    ratios = np.empty_like(pairs)
+    ratios[:, 0], ratios[:, 1:] = s * w / n, pairs[:, :-1] / (n * n)[:, None]
+    terms = _B_OVER_FACT * np.cumprod(ratios, axis=1)
+    q = np.abs(pairs) / ((TWOPI * n) ** 2)[:, None]
+    err = np.abs(terms) * q / (1.0 - q)
+    met = err <= target / 4.0
+    met[:, -1] = True  # no order met: all 12
+    rows, k = np.arange(a.size), met.argmax(axis=1)
+    tail = n * w / (s - 1.0) - 0.5 * w + np.cumsum(terms, axis=1)[rows, k]
+    return sums[0] + tail, err[rows, k], k + 1
+
+
+def _reference_rows(sigma: float, a: np.ndarray, target: float):
+    """(values, error estimates, terms used) of zeta(sigma + i*a) at the 1-D
+    array a >= 0: _em_rows at n = 32*ceil(0.7(a + |sigma|)/32), at least 32,
+    and at twice the n of each row that misses the target, up to 8 passes.
+    ToleranceError names the worst row's best error."""
+    n = np.maximum(32.0, 32.0 * np.ceil(0.7 * (a + abs(sigma)) / 32.0))
+    values, errors, used = _em_rows(sigma, a, n, target)
+    todo = np.flatnonzero(errors > target)
+    best = errors[todo]
+    for _ in range(7):
+        if not todo.size:
             break
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-        term = term / float(n) / float(n)
-    return tail, err, k
+        n[todo] *= 2.0
+        values[todo], errors[todo], used[todo] = _em_rows(sigma, a[todo], n[todo], target)
+        best = np.minimum(best, errors[todo])
+        keep = errors[todo] > target
+        todo, best = todo[keep], best[keep]
+    if todo.size:
+        worst = float(best.max())
+        raise ToleranceError(
+            f"eval_reference could not reach {target:g} (best {worst:g})", best_error=worst
+        )
+    return values, errors, n.astype(np.intp) + used
 
 
 def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
-    """Full Euler-Maclaurin evaluation; the build's ground-truth oracle.
+    """Full Euler-Maclaurin evaluation; the build's ground-truth oracle, for
+    a float t or an ndarray of them (value, terms_used and error_estimate
+    then arrays of its shape).
 
-    Truncation point and Bernoulli depth are chosen adaptively to meet
-    target_abs_error (contractually reachable for |t| <= 1e4 down to
-    1e-10; raises ToleranceError with the best achieved error otherwise).
-    The result's error_estimate is the tail bound that met the target.
+    The sum runs to n = 32*ceil(0.7(|t| + |sigma|)/32), at least 32, and
+    n doubles, up to 8 passes, for each entry whose Bernoulli tail (at most
+    12 orders) misses target_abs_error (contractually reachable for
+    |t| <= 1e4 down to 1e-10; ToleranceError with the worst entry's best
+    error otherwise).  n depends on t alone and a float is evaluated as a
+    one-entry array, so it gets a batch row's bits; the values at |t| are
+    conjugated where t < 0.  terms_used counts the n head terms and the
+    Bernoulli orders; error_estimate is the tail bound that met the target.
     """
     if target_abs_error < 1e-12:
         raise DomainError("target_abs_error below the 1e-12 floor")
     if not (-1.0 <= s.sigma <= 3.0):
         raise DomainError(f"eval_reference needs sigma in [-1, 3], got {s.sigma}")
-    if s.t == 0.0 and s.sigma == 1.0:
+    t = np.ravel(s.t)
+    if s.sigma == 1.0 and np.any(t == 0.0):
         raise DomainError("s = 1 is the pole of zeta")
-    if s.t < 0.0:
-        res = eval_reference(Argument(s.sigma, -s.t), target_abs_error)
-        return replace(res, value=res.value.conjugate())
-    sc = s.complex
-    n = max(32, int(math.ceil(0.7 * (abs(s.t) + abs(s.sigma)))))
-    best_err = math.inf
-    for _ in range(8):
-        head = partial_sum(1, n - 1, s)  # first: TABLE_GUARD outranks the phase limit
-        # Below t = 1 the tail's 1/(s - 1) would scale up the rounding of a
-        # phase reduced into [0, 2pi); -t log n is small and exact enough.
-        phi = -s.t * math.log(n) if s.t < 1.0 else reduced_phase(s.t, n)
-        tail, err, used = _em_tail(sc, phi, n, target_abs_error)
-        if err <= target_abs_error:
-            return EvalResult(head + tail, "reference", (n - 1) + used, frozenset(), err)
-        best_err = min(best_err, err)
-        n *= 2
-    raise ToleranceError(
-        f"eval_reference could not reach {target_abs_error:g} "
-        f"(best {best_err:g})",
-        best_error=best_err,
-    )
+    values, errors, terms = _reference_rows(s.sigma, np.abs(t), target_abs_error)
+    values.imag[t < 0.0] *= -1.0  # conj at |t|
+    if isinstance(s.t, np.ndarray):
+        shape = s.t.shape
+        return EvalResult(values.reshape(shape), "reference", terms.reshape(shape),
+                          frozenset(), errors.reshape(shape))
+    return EvalResult(complex(values[0]), "reference", int(terms[0]), frozenset(),
+                      float(errors[0]))
 
 
 def em_paper_domain(s: Argument) -> None:
@@ -321,13 +349,17 @@ def zeta_on_line(t: float) -> complex:
     return rs_z(t) * cmath.exp(-1j * rs_theta_mod(t))
 
 
-def z_reference(t: float) -> float:
-    """Z(t) = Re(exp(i*theta) * zeta(1/2+it)) through the reference oracle, t >= 2*pi.
+def z_reference(t):
+    """Z(t) = Re(exp(i*theta) * zeta(1/2+it)) through the reference oracle,
+    for a float or an ndarray of ordinates t >= 2*pi (an ndarray back for
+    one); a float gets a batch row's bits.
 
-    The zero search certifies on it the estimates that rs_z's bound B(t)
-    leaves open (all below t = 200); refine_zero, its fallback, solves on it.
+    The zero search certifies on it, in one batch per pass, the estimates
+    that rs_z's bound B(t) leaves open (all below t = 200); refine_zero, its
+    fallback, solves on it.
     """
-    theta_mod = rs_theta_mod(t)
-    value = eval_reference(Argument(0.5, t)).value
-    rotated = cmath.exp(1j * theta_mod) * value
-    return rotated.real
+    ts = np.ravel(np.asarray(t, dtype=float))
+    theta = rs_theta_mod(ts)  # first: it refuses t < 2pi
+    value = _reference_rows(0.5, ts, 1e-10)[0]
+    z = np.cos(theta) * value.real - np.sin(theta) * value.imag
+    return z.reshape(t.shape) if isinstance(t, np.ndarray) else float(z[0])

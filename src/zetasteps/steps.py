@@ -37,10 +37,6 @@ class Argument:
     def conjugate(self) -> "Argument":
         return Argument(self.sigma, -self.t)
 
-    @property
-    def complex(self) -> complex:
-        return complex(self.sigma, self.t)
-
 
 def check_reducible(x) -> None:
     """DomainError where |x| (a float or an ndarray's largest) reaches REDUCTION_LIMIT."""
@@ -130,7 +126,7 @@ def step_sums(sigmas, t, n):
     check_power refuses every sigma at the largest n_i first."""
     for sigma in sigmas:
         check_power(n.max(initial=1.0), -sigma)
-    sums = np.zeros((len(sigmas), t.size), dtype=complex)
+    sums = np.empty((len(sigmas), t.size), dtype=complex)
     lengths, last = np.empty((len(sigmas), t.size)), np.empty(t.size)
     order, i = np.argsort(-n, kind="stable"), 0  # longest first: the log table grows once
     while i < order.size:
@@ -138,13 +134,15 @@ def step_sums(sigmas, t, n):
         rows = order[i : i + max(1, int(ROW_GROUP // count))]
         rows = rows[n[rows] == count]
         i += rows.size
+        acc = np.zeros((2, len(sigmas), rows.size))  # real and imaginary parts
         for lo, hi, theta in phase_blocks(t[rows], 1, int(count)):
+            last[rows] = theta[:, -1]  # theta's buffer then takes the products
             cos, sin, k = np.cos(theta), np.sin(theta), np.arange(lo, hi + 1, dtype=float)
             for j, sigma in enumerate(sigmas):
                 size = k ** (-sigma)
-                sums.real[j, rows] += np.sum(size * cos, axis=1)
-                sums.imag[j, rows] += np.sum(size * sin, axis=1)
-        last[rows] = theta[:, -1]
+                acc[0, j] += np.sum(np.multiply(size, cos, out=theta), axis=1)
+                acc[1, j] += np.sum(np.multiply(size, sin, out=theta), axis=1)
+        sums.real[:, rows], sums.imag[:, rows] = acc
         lengths[:, rows] = [[float(count) ** -sigma] for sigma in sigmas]
     return sums, lengths, last
 

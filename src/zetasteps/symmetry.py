@@ -155,21 +155,29 @@ def _shaped(values: np.ndarray, t):
     return values.reshape(t.shape) if isinstance(t, np.ndarray) else complex(values[0])
 
 
+def _q_grid(sigmas, t: np.ndarray) -> np.ndarray:
+    """Q(s), one row per sigma, at the 1-D array t, |t| >= 2pi: theta and
+    its phase are taken once for every sigma, |Q| per sigma."""
+    a = np.abs(t)
+    hi, lo = _theta_dd(a)
+    check_reducible(2.0 * hi)  # refused from t = 7.66e8 on
+    phase = mod_twopi(-2.0 * hi, -2.0 * lo)
+    turn = np.cos(phase) + 1j * np.sin(phase)
+    top = a.max(initial=TWOPI) / TWOPI
+    for sigma in sigmas:
+        check_power(top, 0.5 - sigma)
+    q = np.array([(a / TWOPI) ** (0.5 - sigma) * turn for sigma in sigmas])
+    q.imag[:, t < 0.0] *= -1.0  # conj at |t|
+    return q
+
+
 def big_q(s: Argument):
     """The symmetry factor Q(s) = |Q| * exp(2i*Theta), of magnitude
     (|t|/2pi)**(1/2-sigma), for a float t or an ndarray of them, |t| >= 2pi;
     Q(conj s) = conj Q(s).  DomainError where |Q| overflows.
     `SymmetryFrame.q_magnitude` gives the discrete n_p**(1-2*sigma) of the
     conjugate-region checks."""
-    t = np.ravel(s.t)
-    a = np.abs(t)
-    hi, lo = _theta_dd(a)
-    check_reducible(2.0 * hi)  # refused from t = 7.66e8 on
-    check_power(a.max(initial=TWOPI) / TWOPI, 0.5 - s.sigma)
-    phase = mod_twopi(-2.0 * hi, -2.0 * lo)
-    q = (a / TWOPI) ** (0.5 - s.sigma) * (np.cos(phase) + 1j * np.sin(phase))
-    q.imag[t < 0.0] *= -1.0  # conj at |t|
-    return _shaped(q, s.t)
+    return _shaped(_q_grid((s.sigma,), np.ravel(s.t))[0], s.t)
 
 
 def _pendant_parts(sigmas, t: np.ndarray) -> np.ndarray:
@@ -207,7 +215,7 @@ def symmetric_grid(sigmas, t: np.ndarray) -> np.ndarray:
     serves every sigma and 1 - sigma.  Where t < 0 its inputs come conjugated,
     and so, bit for bit, does Q * conj(P(1-s)).  No sigma range is checked."""
     p, p1 = np.split(np.add(*_pendant_parts([*sigmas, *(1.0 - x for x in sigmas)], t)), 2)
-    q = np.array([big_q(Argument(x, t)) for x in sigmas])
+    q = _q_grid(sigmas, t)
     # Python's product q * conj(p1) term for term: numpy's may fuse a multiply-add
     return np.array([p, q.real * p1.real + q.imag * p1.imag + 1j * (q.imag * p1.real - q.real * p1.imag)])
 

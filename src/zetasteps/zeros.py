@@ -7,12 +7,15 @@ All brackets are refined together by a lockstep Illinois solve on rs_z.
 One more batched rs_z call at c - tol/2 and c + tol/2 around every
 estimate c then certifies each zero whose two values change sign and both
 exceed the error bound B(t) of rs_z ("rs_bound").  The rest go to the
-reference oracle ("oracle"): a sign change across the same two points,
-else one secant step on the two oracle values and a second check, and only
-then the fallback: widen the scan bracket until the oracle changes sign
-across it and refine_zero solves on the oracle there.  B is +inf below
-t = 200, so low zeros always take the oracle.  Every reported ordinate is
-a true zero of zeta(1/2 + it) to the requested tolerance.
+reference oracle ("oracle"), all in lockstep: one batched oracle call at
+the same two points of every such estimate, one secant step on the two
+values of each that shows no sign change, and one more call on those.
+Only then comes the per-zero fallback: widen the scan bracket until the
+oracle changes sign across it and refine_zero solves on the oracle there.
+B is +inf below t = 200, so low zeros always take the oracle.  The
+oracle sums to n = 32*ceil(0.7(t + 1/2)/32) terms at each point
+(evaluators.eval_reference).  Every reported ordinate is a true zero of
+zeta(1/2 + it) to the requested tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -177,8 +180,7 @@ def refine_zero(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
     lo, hi = bracket
     if hi < lo:
         raise DomainError("bracket endpoints out of order")
-    z = np.vectorize(z_reference, otypes=[float])
-    x, f = _illinois(z, [lo, hi], [z_reference(lo), z_reference(hi)], tol)
+    x, f = _illinois(z_reference, [lo, hi], z_reference(np.array([lo, hi])), tol)
     if hi - lo <= tol:
         return _record(0.5 * (lo + hi))
     return _nearer(x[:, 0].tolist(), f[:, 0].tolist())
@@ -233,20 +235,34 @@ def _nearer(x, f, certificate: str = "oracle") -> ZeroRecord:
     return _record(x[k], abs(f[k]), certificate)
 
 
-def _certify(c: float, bracket: Tuple[float, float], tol: float) -> ZeroRecord:
-    """The record of the zero near the rs_z estimate c: an oracle sign
-    change across [c - tol/2, c + tol/2].  Where both oracle values share a
-    sign, one secant step on them moves c and the check runs once more.
-    After that both ends of the scan bracket widen by h = 0, 1e-4, 2e-4,
-    ... up to 1 until the oracle changes sign, and refine_zero solves there."""
+def _certify(est: np.ndarray, brackets: List[Tuple[float, float]],
+             tol: float) -> List[ZeroRecord]:
+    """The records of the zeros near the rs_z estimates est, in lockstep: an
+    oracle sign change across [c - tol/2, c + tol/2], one oracle call for
+    every c.  Where both values share a sign, one secant step on them moves
+    c and a second call checks those rows.  Rows with two equal values, and
+    rows that fail twice, widen both ends of their scan bracket by h = 0,
+    1e-4, 2e-4, ... up to 1 until the oracle changes sign, and refine_zero
+    solves there."""
+    records: List[Optional[ZeroRecord]] = [None] * len(brackets)
+    todo, c = np.arange(len(brackets)), est
     for _ in range(2):
-        a, b = c - 0.5 * tol, c + 0.5 * tol
-        f_a, f_b = z_reference(a), z_reference(b)
-        if f_a * f_b <= 0.0:
-            return _nearer((a, b), (f_a, f_b))
-        if f_a == f_b:
+        if not todo.size:
             break
-        c = b - f_b * (b - a) / (f_b - f_a)
+        ends = c + np.array([[-0.5], [0.5]]) * tol
+        f = z_reference(ends)
+        ok = f[0] * f[1] <= 0.0
+        for i, e, v in zip(todo[ok].tolist(), ends[:, ok].T.tolist(), f[:, ok].T.tolist()):
+            records[i] = _nearer(e, v)
+        step = ~ok & (f[0] != f[1])
+        (a, b), (f_a, f_b) = ends[:, step], f[:, step]
+        todo, c = todo[step], b - f_b * (b - a) / (f_b - f_a)
+    return [rec or _widened(bracket, tol) for rec, bracket in zip(records, brackets)]
+
+
+def _widened(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
+    """refine_zero on the scan bracket widened by the first h = 0, 1e-4,
+    2e-4, ... up to 1 at which the oracle changes sign across it."""
     for h in [0.0] + [1e-4 * 2.0**k for k in range(14)]:
         lo, hi = bracket[0] - h, bracket[1] + h
         if z_reference(lo) * z_reference(hi) <= 0.0:
@@ -287,9 +303,10 @@ def find_zeros(
     ends = est + np.array([[-0.5], [0.5]]) * tol
     f = rs_z(ends)
     sure = (f[0] * f[1] < 0.0) & np.all(np.abs(f) > _rs_bound(ends), axis=0)
+    oracle = iter(_certify(est[~sure], [b for b, ok in zip(brackets, sure) if not ok], tol))
     refined = [
-        _nearer(e, v, "rs_bound") if ok else _certify(c, b, tol)
-        for c, b, e, v, ok in zip(est.tolist(), brackets, ends.T.tolist(), f.T.tolist(), sure)
+        _nearer(e, v, "rs_bound") if ok else next(oracle)
+        for e, v, ok in zip(ends.T.tolist(), f.T.tolist(), sure)
     ]
     records: List[ZeroRecord] = []
     for rec in sorted(refined, key=lambda r: r.t):

@@ -84,16 +84,38 @@ class TestReference:
 
     def test_unmet_target_reports_best_error(self, monkeypatch):
         calls = []
+        em_rows = evaluators._em_rows
 
-        def stuck_tail(s, phi_n, n, target):
-            calls.append(n)
-            return 0j, 3e-6 if len(calls) % 2 else 2e-6, 4
+        def stuck(sigma, a, n, target):
+            calls.append(n.tolist())
+            values, _, used = em_rows(sigma, a, n, target)
+            return values, np.full(a.size, 3e-6 if len(calls) % 2 else 2e-6), used
 
-        monkeypatch.setattr(evaluators, "_em_tail", stuck_tail)
+        monkeypatch.setattr(evaluators, "_em_rows", stuck)
         with pytest.raises(ToleranceError) as exc:
             eval_reference(Argument(0.5, 100.0))
         assert exc.value.best_error == 2e-6
-        assert calls == [71 * 2**k for k in range(8)]  # 8 tries, N doubling from 71
+        assert calls == [[96.0 * 2**k] for k in range(8)]  # 8 tries, N doubling from 96
+
+    def test_unmet_target_in_a_batch(self, monkeypatch):
+        # one entry that misses its target fails the call; the error names
+        # the worst entry's best error, and entries that meet it leave
+        calls = []
+        em_rows = evaluators._em_rows
+
+        def stuck(sigma, a, n, target):
+            calls.append(a.tolist())
+            values, errors, used = em_rows(sigma, a, n, target)
+            odd = 3e-6 if len(calls) % 2 else 2e-6
+            return values, np.select([a == 50.0, a == 70.0], [odd, 1e-6], errors), used
+
+        monkeypatch.setattr(evaluators, "_em_rows", stuck)
+        with pytest.raises(ToleranceError) as exc:
+            eval_reference(Argument(0.5, np.array([30.0, 50.0, 70.0, 90.0])))
+        assert exc.value.best_error == 2e-6
+        assert calls == [[30.0, 50.0, 70.0, 90.0]] + [[50.0, 70.0]] * 7
+        with pytest.raises(ToleranceError):
+            z_reference(np.array([30.0, 70.0]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -126,6 +148,82 @@ class TestReference:
             return  # pole neighborhood
         got = eval_reference(Argument(sigma, t)).value
         assert abs(got - mp_zeta(sigma, t)) < 1e-9
+
+
+def _hex(x):
+    return [float(v).hex() for v in np.ravel([np.real(x), np.imag(x)])]
+
+
+class TestBatchedReference:
+    # n = 32*ceil(0.7(|t| + |sigma|)/32) steps up by 32 where 0.7(|t| + |sigma|)
+    # crosses a multiple of 32
+    @staticmethod
+    def _ordinates(sigma):
+        rng = np.random.default_rng(20261019)
+        edges = [32.0 * m / 0.7 - abs(sigma) for m in (1, 2, 5, 40)]
+        sides = [e + d for e in edges for d in (-1e-9, 1e-9)]
+        tiny = rng.uniform(0.0, 1.0, 3).tolist()
+        wide = rng.uniform(1.0, 3000.0, 5).tolist()
+        ts = [*sides, *tiny, *wide]
+        return sides, [*ts, *(-t for t in ts), 0.0]
+
+    @pytest.mark.parametrize("sigma", [-1.0, 0.5, 3.0])
+    def test_float_equals_batch_row(self, sigma):
+        sides, ts = self._ordinates(sigma)
+        batch = eval_reference(Argument(sigma, np.array(ts)))
+        shapes = {batch.value.shape, batch.terms_used.shape, batch.error_estimate.shape}
+        assert shapes == {(len(ts),)}
+        for i, t in enumerate(ts):
+            one = eval_reference(Argument(sigma, t))
+            assert type(one.value) is complex and type(one.terms_used) is int
+            assert _hex(one.value) == _hex(batch.value[i])
+            assert one.terms_used == batch.terms_used[i]
+            assert one.error_estimate.hex() == float(batch.error_estimate[i]).hex()
+        # each pair of sides straddles an edge: 32 head terms apart, less
+        # at most 11 Bernoulli orders
+        terms = dict(zip(ts, batch.terms_used.tolist()))
+        for lo, hi in zip(sides[::2], sides[1::2]):
+            assert 21 <= terms[hi] - terms[lo] <= 43
+        # t < 0 is the exact conjugate of |t|
+        half = (len(ts) - 1) // 2
+        pos, neg = batch.value[:half], batch.value[half:-1]
+        assert _hex(neg) == _hex(pos.conjugate())
+        assert batch.error_estimate[:half].tolist() == batch.error_estimate[half:-1].tolist()
+
+    def test_shape_kept(self):
+        t = np.array([[10.0, 20.0], [-30.0, 0.5]])
+        res = eval_reference(Argument(0.25, t))
+        assert res.value.shape == res.terms_used.shape == res.error_estimate.shape == (2, 2)
+        assert res.value[0, 1] == eval_reference(Argument(0.25, 20.0)).value
+
+    # sigma is drawn per band from [0, 3]: at sigma = -1 the rounding of the
+    # head sum alone reaches 1e-9 by t = 8000
+    @pytest.mark.parametrize("band", [(0.0, 1.0), (1.0, 10.0), (10.0, 100.0),
+                                      (100.0, 1e3), (1e3, 1e4)])
+    def test_error_estimate_against_quad_oracle(self, band):
+        rng = np.random.default_rng([20261019, int(band[1])])
+        for sigma in (0.5, float(rng.uniform(0.0, 3.0))):
+            t = rng.uniform(*band, 3)
+            res = eval_reference(Argument(sigma, t))
+            rows = zip(t, res.value, res.error_estimate, res.terms_used)
+            for t_i, value, estimate, terms in rows:
+                err = abs(value - mp_zeta(sigma, t_i))
+                # the estimate bounds the Euler-Maclaurin truncation; the
+                # rounding of the head sum comes on top
+                rounding = 2.0**-52 * float(np.sum(np.arange(1.0, terms + 1.0) ** -sigma))
+                assert err <= estimate + rounding
+                assert err <= 1e-10 and estimate <= 1e-10
+
+    def test_z_reference_array(self):
+        rng = np.random.default_rng(20261019)
+        t = np.concatenate([[TWOPI, 14.134725141734695], rng.uniform(10.0, 5000.0, 6)])
+        batch = z_reference(t)
+        assert isinstance(batch, np.ndarray) and batch.shape == t.shape
+        assert [x.hex() for x in batch.tolist()] == [z_reference(x).hex() for x in t.tolist()]
+        assert z_reference(t.reshape(2, 4)).tolist() == batch.reshape(2, 4).tolist()
+        assert z_reference(np.array([])).shape == (0,)
+        with pytest.raises(DomainError):
+            z_reference(np.array([10.0, 6.0]))
 
 
 class TestEmPaper:

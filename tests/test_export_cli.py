@@ -16,6 +16,7 @@ import pytest
 
 import zetasteps
 from zetasteps import export as ex
+from zetasteps import symmetry
 from zetasteps import (
     Argument,
     DomainError,
@@ -250,6 +251,16 @@ class TestSurface:
     def test_grid_guard(self):
         with pytest.raises(ResourceGuardError):
             list(export_surface(0.0, 1.0, 100.0, 200.0, 2000, 2000))
+
+    def test_theta_once_per_grid(self, monkeypatch):
+        # one theta (and its phase) serves every sigma of the grid; only |Q|
+        # is taken per sigma
+        calls = []
+        theta = symmetry._theta_dd
+        monkeypatch.setattr(symmetry, "_theta_dd", lambda t: calls.append(np.size(t)) or theta(t))
+        rows = list(export_surface(0.0, 1.0, 124.0, 129.0, 21, 101))
+        assert len(rows) == 21 * 101
+        assert calls == [101]
 
 
 def test_symmetric_parts_behind_evaluator_and_exports():
@@ -756,6 +767,21 @@ class TestCli:
         )
         assert self.run("eval", "--t", "1000") == 0
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_parser_built_once_per_process(self):
+        # build_parser (nine subparsers, about 2.4 ms) runs on the first
+        # main call, not at import, and not again
+        code = ("import os, zetasteps.cli as cli\n"
+                "built, build = [], cli.build_parser\n"
+                "cli.build_parser = lambda: built.append(1) or build()\n"
+                "print(cli._parser.cache_info().currsize)\n"
+                "for argv in (['gram', '--t-lo', '10', '--t-hi', '25'], ['eval', '--t', '100']):\n"
+                "    assert cli.main([*argv, '--out', os.devnull]) == 0, argv\n"
+                "print(len(built))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=CHILD_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
 
     def test_subcommands_leave_numpy_ma_unimported(self):
         # np.unique and np.union1d import numpy.ma on first use: 13-24 ms

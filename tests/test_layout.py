@@ -173,9 +173,8 @@ def test_two_pi_floor_checked_by_its_readers():
 def test_symmetric_form_reflects_once_per_grid():
     # Each symmetric-form grid takes its values at |t| and negates the
     # imaginary part where t < 0; the point functions reflect through the
-    # grid they call.  So _shaped only restores the caller's shape, and no
-    # function recurses on -t, except eval_reference, whose recursion keeps
-    # the oracle's phase reduced.
+    # grid they call, and eval_reference conjugates its values at |t|.  So
+    # _shaped only restores the caller's shape, and no function recurses.
     recursive = []
     for name in ("symmetry.py", "evaluators.py"):
         for fn in ast.walk(ast.parse((SRC / name).read_text())):
@@ -184,7 +183,7 @@ def test_symmetric_form_reflects_once_per_grid():
                 for n in ast.walk(fn)
             ):
                 recursive.append(fn.name)
-    assert recursive == ["eval_reference"]
+    assert recursive == []
     tree = ast.parse((SRC / "symmetry.py").read_text())
     (shaped,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_shaped"]
     attrs = {n.attr for n in ast.walk(shaped) if isinstance(n, ast.Attribute)}

@@ -114,7 +114,7 @@ class TestGramIndices:
 
 class TestScan:
     def test_first_three_zeros_bracketed(self):
-        brackets = scan_z_sign_changes(10.0, 30.0, z=np.vectorize(z_reference))
+        brackets = scan_z_sign_changes(10.0, 30.0, z=z_reference)
         for want in FIRST_ZEROS:
             assert any(lo <= want <= hi for lo, hi in brackets)
         # the batched rs_z scan yields one bracket apiece as well
@@ -332,12 +332,13 @@ class TestOneStageRefine:
             assert rec.residual == abs(z_reference(rec.t))
 
     def test_call_budget(self, monkeypatch):
-        calls = {"oracle": 0, "rs_scan": 0, "rs_other": 0}
+        calls = {"oracle": 0, "points": 0, "fallback": 0, "rs_scan": 0, "rs_other": 0}
         in_scan = [False]
 
-        def oracle(*args, **kwargs):
+        def oracle(t):
             calls["oracle"] += 1
-            return eval_reference(*args, **kwargs)
+            calls["points"] += np.size(t)
+            return z_reference(t)
 
         def fast(t):
             calls["rs_scan" if in_scan[0] else "rs_other"] += 1
@@ -350,19 +351,26 @@ class TestOneStageRefine:
             finally:
                 in_scan[0] = False
 
-        _instrument(monkeypatch, eval_reference, oracle)
+        def fallback(bracket, tol):
+            calls["fallback"] += 1
+            return refine_zero(bracket, tol)
+
+        _instrument(monkeypatch, z_reference, oracle)
         _instrument(monkeypatch, rs_z, fast)
         _instrument(monkeypatch, scan_z_sign_changes, scan)
+        _instrument(monkeypatch, refine_zero, fallback)
         t_hi = gram_point(110)
         records = find_zeros(10.0, t_hi, workers=1)
         found = dict(calls)
         assert len(records) >= 100
-        # two oracle calls certify a zero; low ordinates, where C0-C4 is
+        # two oracle points certify a zero; low ordinates, where C0-C4 is
         # only 1e-7 accurate, take a secant step and two more
-        assert 2 * len(records) <= found["oracle"] <= 3 * len(records)
+        assert 2 * len(records) <= found["points"] <= 3 * len(records)
+        # one batch for every first check and one for the secant re-checks
+        assert found["fallback"] == 0 and found["oracle"] <= 2
         assert found["rs_scan"] > 0 and found["rs_scan"] + found["rs_other"] <= 40
         rows = list(export_zeros(t_hi=t_hi))
-        assert calls["oracle"] == 2 * found["oracle"]  # the search again, nothing more
+        assert calls["points"] == 2 * found["points"]  # the search again, nothing more
         assert [r[4] for r in rows] == [r.residual for r in records]
         monkeypatch.undo()
         for rec in records:

@@ -162,12 +162,15 @@ def dd_log(x: float):
 
 # ---------------------------------------------------------------------------
 # dd log table for integers 1..n, grown on demand by the same kernel in
-# fixed chunks (the chunk bounds the temporaries) to a whole number of
+# BLOCK-sized pieces (which bound the temporaries) to a whole number of
 # _LOG_STEP entries, so slowly rising requests grow it rarely.  The (hi,
 # lo) pair is published as one tuple, so a reader on another thread never
 # sees the arrays of two different growths.
 
-_LOG_CHUNK = 1 << 14
+# BLOCK: entries of every array loop over steps (phase blocks, row groups, the
+# table's growth); its 64 KiB float64 temporaries stay below glibc's 128 KiB
+# mmap threshold, so they are reused, not mapped and faulted in afresh.
+BLOCK = 1 << 13
 _LOG_STEP = 1 << 10
 _log = (np.zeros(2), np.zeros(2))
 
@@ -184,8 +187,8 @@ def log_table(nmax: int):
     lo = np.empty(nmax + 1)
     hi[:size] = old_hi
     lo[:size] = old_lo
-    for start in range(size, nmax + 1, _LOG_CHUNK):
-        stop = min(nmax + 1, start + _LOG_CHUNK)
+    for start in range(size, nmax + 1, BLOCK):
+        stop = min(nmax + 1, start + BLOCK)
         hi[start:stop], lo[start:stop] = _dd_log(np.arange(start, stop, dtype=float))
     _log = (hi, lo)
     return hi, lo

@@ -20,7 +20,7 @@ from typing import FrozenSet
 import numpy as np
 
 from .errors import DomainError, ToleranceError
-from .steps import _BLOCK, Argument, phase_blocks, step_sums
+from .steps import BLOCK, Argument, phase_blocks, step_sums
 from .symmetry import TWOPI, frame_of, rs_theta_mod, sqrt_t_over_twopi, symmetric_parts
 
 FLAG_DEGENERATE_P = "degenerate_p"
@@ -281,12 +281,14 @@ def rs_z(t):
     r = sqrt_t_over_twopi(ts)
     n_p = np.floor(r).astype(np.intp)
     head = np.empty(ts.size)
-    rows = max(1, _BLOCK // int(n_p.max(initial=1)))  # rows x n_max <= _BLOCK: one block
+    rows = max(1, BLOCK // int(n_p.max(initial=1)))  # rows x n_max <= BLOCK: one block, or one row
     for i in range(0, ts.size, rows):
-        part = slice(i, i + rows)
-        ((_, hi, phases),) = phase_blocks(ts[part], 1, int(n_p[part].max()))
-        terms = np.arange(1.0, hi + 1.0) ** -0.5 * np.cos(theta[part, None] + phases)
-        head[part] = np.cumsum(terms, axis=1)[np.arange(len(terms)), n_p[part] - 1]
+        part, carry = slice(i, i + rows), 0.0
+        for lo, hi, phases in phase_blocks(ts[part], 1, int(n_p[part].max())):
+            terms = np.arange(lo, hi + 1.0) ** -0.5 * np.cos(theta[part, None] + phases)
+            sums = np.cumsum(terms, axis=1) + carry
+            carry = carry + np.sum(terms, axis=1, keepdims=True)
+        head[part] = sums[np.arange(len(sums)), n_p[part] - lo]
     sign = np.where(n_p % 2 == 1, 1.0, -1.0)
     out = 2.0 * head + sign * _gabcke(r - n_p - 0.5, 1.0 / r) / np.sqrt(r)
     return out.reshape(t.shape) if isinstance(t, np.ndarray) else float(out[0])

@@ -105,9 +105,11 @@ def write_rows(
     if json:
         cells = ['"%s":%s' % (k.replace("%", "%%"), c) for k, c in zip(header, cells)]
     template = ("{%s}\n" if json else "%s\n") % ",".join(cells)
-    for count, row in enumerate(itertools.chain((first,), rows), 1):
-        text = template % row
-        stream.write(text.replace('":nan', '":null') if json else text)
+    rows, count = itertools.chain((first,), rows), 0
+    for chunk in iter(lambda: list(itertools.islice(rows, 256)), []):  # ~25 KB a write
+        text = "".join(map(template.__mod__, chunk))
+        stream.write(text.replace('":nan', '":null') if json else text)  # no match spans two rows
+        count += len(chunk)
     return count
 
 
@@ -146,19 +148,15 @@ def export_stepplot(s: Argument, decimation: int = 1) -> Iterator[Tuple]:
     n_p = frame_of(s.t).n_p
     n_max = int(math.floor(s.t / math.pi))
     _guard_rows("stepplot", n_max // decimation, STEPPLOT_ROW_GUARD)
-    carry_re = carry_im = 0.0
+    carry = np.zeros((2, 1))  # the real and imaginary sums of the blocks before
     for a, b, phases in phase_blocks(s.t, 1, n_max, lookahead=2):
-        n = np.arange(a, b + 1)
-        lengths = n.astype(float) ** (-s.sigma)
-        terms_re = lengths * np.cos(phases[: b - a + 1])
-        terms_im = lengths * np.sin(phases[: b - a + 1])
-        cum_re = np.cumsum(terms_re) + carry_re
-        cum_im = np.cumsum(terms_im) + carry_im
-        d1, d2 = phase_diffs(phases)
-        keep = ((n - 1) % decimation == 0) | (np.abs(n - n_p) <= 2 * n_p) | (n == n_max)
-        yield from zip(*(col[keep].tolist() for col in (n, cum_re, cum_im, d1[: b - a + 1], d2)))
-        carry_re += np.sum(terms_re)
-        carry_im += np.sum(terms_im)
+        n, theta = np.arange(a, b + 1), phases[: b - a + 1]
+        terms = n.astype(float) ** (-s.sigma) * np.array([np.cos(theta), np.sin(theta)])
+        cums = np.cumsum(terms, axis=1) + carry
+        keep = np.flatnonzero(((n - 1) % decimation == 0) | (np.abs(n - n_p) <= 2 * n_p) | (n == n_max))
+        d1, d2 = phase_diffs(phases[np.add.outer(np.arange(3), keep)])  # at the kept rows only
+        yield from zip(*(col.tolist() for col in (n[keep], *cums[:, keep], d1[0], d2[0])))
+        carry = carry + np.sum(terms, axis=1, keepdims=True)
 
 
 def export_limacon(

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddmath import REDUCTION_LIMIT, TWOPI, dd_add, dd_log, log_table, phase_from_dd_log
+from .ddmath import BLOCK, REDUCTION_LIMIT, TWOPI, dd_add, dd_log, log_table, phase_from_dd_log
 from .errors import DomainError, ResourceGuardError
 
 TABLE_GUARD = 100_000_000  # dd log-table entries, 16 bytes each (1.6 GB)
-ROW_GROUP = 8192  # phase entries (rows x terms) of one step_sums kernel call
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,18 +73,16 @@ def phase_blocks(t, a: int, b: int, lookahead: int = 0):
 
     Yields (lo, hi, phases) with phases[..., i] the phase of n = lo + i for
     lo <= n <= hi + lookahead; the lookahead entries let a caller take
-    forward differences across the block edge.  For an ndarray t, phases
-    has one row per ordinate and a block holds at most _BLOCK entries (at
-    least one column).  The dd log table is sized once, to b + lookahead,
+    forward differences across the block edge.  A block holds at most BLOCK
+    entries (one column at least) plus the lookahead, one row per ordinate
+    of an ndarray t.  The dd log table is sized once, to b + lookahead,
     before the first block; past TABLE_GUARD entries ResourceGuardError is
     raised first, then DomainError past the phase limit (check_reducible).
     """
     if b + lookahead > TABLE_GUARD:
         raise ResourceGuardError(f"log table of {b + lookahead:.3g} entries exceeds {TABLE_GUARD}")
     check_reducible(t * math.log(b + lookahead))
-    width = _BLOCK
-    if isinstance(t, np.ndarray):
-        t, width = t.reshape(-1, 1), max(1, _BLOCK // t.size)
+    t, width = (t.reshape(-1, 1), max(1, BLOCK // t.size)) if isinstance(t, np.ndarray) else (t, BLOCK)
     log_hi, log_lo = log_table(b + lookahead)
     for lo in range(a, b + 1, width):
         hi = min(b, lo + width - 1)
@@ -121,7 +117,7 @@ def step_sums(sigmas, t, n):
     """(sums, lengths, phases): per sigma (row) and ordinate t_i >= 0 of the
     1-D array t (column), the sum of k**(-s) over 1 <= k <= n_i, n a float
     array of whole n_i >= 1, and the length and phase of step n_i.  Rows of
-    one n_i share phase_blocks calls of at most ROW_GROUP entries and their
+    one n_i share phase_blocks calls of at most BLOCK entries and their
     cos and sin; a row is summed as partial_sum sums it, whatever the batch.
     check_power refuses every sigma at the largest n_i first."""
     for sigma in sigmas:
@@ -131,7 +127,7 @@ def step_sums(sigmas, t, n):
     order, i = np.argsort(-n, kind="stable"), 0  # longest first: the log table grows once
     while i < order.size:
         count = n[order[i]]
-        rows = order[i : i + max(1, int(ROW_GROUP // count))]
+        rows = order[i : i + max(1, int(BLOCK // count))]
         rows = rows[n[rows] == count]
         i += rows.size
         acc = np.zeros((2, len(sigmas), rows.size))  # real and imaginary parts

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from zetasteps import steps, zeros
+from zetasteps import ddmath, evaluators, export, steps, zeros
 
 TABLE_GUARD_ENTRIES = 100_000_000  # 1.6 GB of dd log table
 
@@ -43,9 +43,10 @@ def gram_recorder(monkeypatch):
 
 @pytest.fixture
 def phase_recorder(monkeypatch):
-    """Record the (rows, columns) of every block the step kernel yields and
-    fail a block of more than ROW_GROUP entries on more than one row, so a
-    batch that outgrows its group fails without holding it.  Yields the
+    """Record the (rows, columns) of every block the step kernel yields to
+    steps, evaluators and export, and fail any block, one row included, of
+    more than ddmath.BLOCK entries besides its lookahead columns, so a
+    batch that outgrows its block fails without holding it.  Yields the
     list of shapes."""
     shapes = []
     phase_blocks = steps.phase_blocks
@@ -54,8 +55,9 @@ def phase_recorder(monkeypatch):
         for lo, hi, phases in phase_blocks(*args, **kwargs):
             rows, cols = phases.shape if phases.ndim == 2 else (1, phases.size)
             shapes.append((rows, cols))
-            assert rows == 1 or rows * cols <= steps.ROW_GROUP, f"{rows} x {cols} phase block"
+            assert rows * (hi - lo + 1) <= ddmath.BLOCK, f"{rows} x {cols} phase block"
             yield lo, hi, phases
 
-    monkeypatch.setattr(steps, "phase_blocks", recorder)
+    for module in (steps, evaluators, export):
+        monkeypatch.setattr(module, "phase_blocks", recorder)
     yield shapes

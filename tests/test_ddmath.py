@@ -103,11 +103,11 @@ def fresh_table(monkeypatch):
 
 
 def table_sample():
-    """2000 seeded indices, 1023-1025, the chunk edges of a growth from
+    """2000 seeded indices, 1023-1025, the BLOCK edges of a growth from
     the empty table, and the last entry."""
     idx = set(random.Random(20261018).sample(range(2, TABLE_N + 1), 2000))
     idx |= {1023, 1024, 1025, TABLE_N}
-    for edge in range(2, TABLE_N + 1, ddmath._LOG_CHUNK):
+    for edge in range(2, TABLE_N + 1, ddmath.BLOCK):
         idx |= {edge - 1, edge}
     return sorted(idx - {1})
 
@@ -123,10 +123,10 @@ def test_log_table_accuracy_and_scalar_agreement(fresh_table):
 
 
 def test_log_table_growth_is_chunk_independent(fresh_table):
-    n = 3 * ddmath._LOG_CHUNK + 17
+    n = 3 * ddmath.BLOCK + 17
     once = log_table(n)
     ddmath._log = (np.zeros(2), np.zeros(2))
-    log_table(ddmath._LOG_CHUNK + 5)
+    log_table(ddmath.BLOCK + 5)
     twice = log_table(n)
     assert np.array_equal(once[0], twice[0])
     assert np.array_equal(once[1], twice[1])
@@ -146,7 +146,7 @@ def test_log_table_grows_in_whole_steps(fresh_table):
 def test_log_table_growth_from_threads(fresh_table):
     # The package starts no thread, but a library caller may: every thread
     # must see a complete table however the growths interleave.
-    sizes = [ddmath._LOG_CHUNK * k + 3 for k in (1, 3, 2, 4, 1, 3)]
+    sizes = [ddmath.BLOCK * k + 3 for k in (1, 3, 2, 4, 1, 3)]
     want = log_table(max(sizes))[0]
     ddmath._log = (np.zeros(2), np.zeros(2))
     errors = []

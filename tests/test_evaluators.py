@@ -28,9 +28,9 @@ from zetasteps import (
     zeta_on_line,
 )
 from zetasteps import evaluators
+from zetasteps.ddmath import BLOCK
 from zetasteps.evaluators import (
     FLAG_DEGENERATE_P,
-    _BLOCK,
     _GABCKE,
     _gabcke,
     _remainder_c,
@@ -339,12 +339,25 @@ class TestGabcke:
                 assert rs_z(float(t)) == z  # bit for bit, float and array
 
     def test_rs_z_batch_over_row_groups_matches_floats(self):
-        # n_p from 398 to 437: 149-164 rows per phase block, so 600
-        # ordinates span 4-5 row groups, each row read off at its own n_p
+        # n_p from 398 to 437: 18-20 rows per phase block, so 600
+        # ordinates span 30-34 row groups, each row read off at its own n_p
         ts = np.random.default_rng(20261020).uniform(1e6, 1.2e6, 600)
-        assert len(ts) > _BLOCK // frame_of(float(ts.max())).n_p * 3
+        assert len(ts) > BLOCK // frame_of(float(ts.max())).n_p * 3
         got = rs_z(ts)
         assert got.tolist() == [rs_z(float(t)) for t in ts]
+
+    def test_rs_z_past_one_block(self, phase_recorder):
+        # n_p > BLOCK from t = 2pi(BLOCK + 1)**2 = 4.2e8: a row's running
+        # sum crosses block edges, and a batch mixing such rows with short
+        # ones keeps every float's bits.  Measured errors are below 6e-14.
+        rng = np.random.default_rng(20261021)
+        edge = TWOPI * (BLOCK + 1) ** 2
+        ts = np.concatenate(([edge, edge + 1234.5], rng.uniform(edge, 1.4e9, 3), [1e5, 2e6]))
+        got = rs_z(ts)
+        assert got.tolist() == [rs_z(float(t)) for t in ts]
+        assert max(cols for _, cols in phase_recorder) == BLOCK
+        for t, z in zip(ts, got):
+            assert abs(z - float(mpmath.siegelz(t))) < 1e-11, t
 
 
 

@@ -21,6 +21,7 @@ from zetasteps import (
     Argument,
     DomainError,
     ResourceGuardError,
+    angle_diffs,
     eval_em_paper,
     eval_reference,
     eval_symmetric,
@@ -30,6 +31,7 @@ from zetasteps import (
     write_rows,
 )
 from zetasteps.cli import EVAL_HEADER, build_parser, main
+from zetasteps.ddmath import BLOCK
 from zetasteps.export import (
     CONJUGATE_HEADER,
     GRAM_HEADER,
@@ -141,6 +143,23 @@ class TestWriters:
         assert render(header, [], fmt) == render_by_token_rule(header, [], fmt)
         assert render(header, [], fmt) == ("i,tag,x,y,note,z\n" if fmt == "csv" else "")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_chunked_writes_match_token_rule(self, fmt):
+        # rows go out joined, at most 256 to a write; the JSON null rule
+        # holds at every join
+        header, rows = ("i", "x", "tag"), [(i, math.nan if i % 7 else 0.5, "nan") for i in range(513)]
+        writes = []
+
+        class Stream(io.StringIO):
+            def write(self, text):
+                writes.append(text.count("\n"))
+                return super().write(text)
+
+        stream = Stream()
+        assert write_rows(stream, header, rows, fmt) == len(rows)
+        assert stream.getvalue() == render_by_token_rule(header, rows, fmt)
+        assert writes[-3:] == [256, 256, 1]
+
     @pytest.mark.parametrize("argv", README_RUNS)
     def test_rows_keep_first_row_column_types(self, argv):
         # write_rows' template holds only if every row has the first row's
@@ -182,12 +201,23 @@ class TestStepplot:
         assert abs(final - partial_sum(1, n_max, s)) < 1e-12
 
     def test_block_edge_rows_equal_partial_sum(self):
-        # n_max = 65537: the first kernel block ends at 65536
+        # n_max = 65537: a kernel block ends at 65536
         s = Argument(0.5, math.pi * 65537.5)
         rows = {r[0]: r for r in export_stepplot(s, 65535)}
         for n in (65536, 65537):
             got = complex(rows[n][1], rows[n][2])
             assert abs(got - partial_sum(1, n, s)) < 1e-12
+
+    def test_first_block_edge_rows_equal_partial_sum(self, phase_recorder):
+        # n_max = BLOCK + 1: the first kernel block ends at BLOCK, and the
+        # second holds one step plus the two lookahead columns
+        s = Argument(0.5, math.pi * (BLOCK + 1.5))
+        rows = {r[0]: r for r in export_stepplot(s)}
+        for n in (BLOCK - 1, BLOCK, BLOCK + 1):
+            got = complex(rows[n][1], rows[n][2])
+            assert abs(got - partial_sum(1, n, s)) < 1e-12
+        assert phase_recorder[:2] == [(1, BLOCK + 2), (1, 3)]
+        assert rows[BLOCK][3:] == angle_diffs(BLOCK, s.t)[1:]
 
     def test_pendant_window_survives_decimation(self):
         t = TWOPI * 1e4

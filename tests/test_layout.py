@@ -3,6 +3,7 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tokenize
@@ -110,9 +111,10 @@ def test_no_module_names_fsum():
 
 def test_phase_reduction_is_branch_free():
     # One Cody-Waite body serves floats and arrays: no type or value branch
-    # and no dd arithmetic.  On 65,536 entries (2-CPU VM) x // 1.0 costs 31
-    # ns/elem and np.where 15, the 1.5*2**52 rounding trick 0.5-0.7 and a
-    # boolean-mask wrap 1.1-1.5.
+    # and no dd arithmetic (np.where would turn a float into an array).  On
+    # a block of 8,192 entries (ddmath.BLOCK; 2-CPU VM) x // 1.0 costs 17-19
+    # ns/elem, np.where 1.3-1.5, the 1.5*2**52 rounding trick 0.9-1.0 and a
+    # boolean-mask wrap 1.6-2.2; on 65,536 entries np.where cost 6-15.
     tree = ast.parse((SRC / "ddmath.py").read_text())
     bodies = {
         node.name: node
@@ -127,6 +129,21 @@ def test_phase_reduction_is_branch_free():
         used = {n.id for n in nodes if isinstance(n, ast.Name)}
         used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
         assert not banned & used, name
+
+
+def test_one_block_size_constant():
+    # Every array loop over steps (phase_blocks, the row groups of step_sums
+    # and rs_z, partial_sum, stepplot and the log table's growth) reads
+    # ddmath.BLOCK: one block edge, and temporaries of one size.
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name) and re.search("BLOCK|CHUNK|GROUP", target.id):
+                    defined.append(f"{path.stem}.{target.id}")
+    assert defined == ["ddmath.BLOCK"]
+    users = [f.name for f in sorted(SRC.glob("*.py")) if "BLOCK" in code_names(f)]
+    assert users == ["ddmath.py", "evaluators.py", "steps.py"]
 
 
 def test_write_rows_renders_each_row_with_one_template():

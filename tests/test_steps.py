@@ -18,8 +18,8 @@ from zetasteps import (
     reduced_phase,
     step_term,
 )
-from zetasteps.ddmath import REDUCTION_LIMIT, _dd_log, phase_from_dd_log
-from zetasteps.steps import _BLOCK, TABLE_GUARD, phase_blocks, step_sums
+from zetasteps.ddmath import BLOCK, REDUCTION_LIMIT, _dd_log, phase_from_dd_log
+from zetasteps.steps import TABLE_GUARD, phase_blocks, step_sums
 
 mpmath.mp.dps = 40
 TWOPI = 2.0 * math.pi
@@ -155,8 +155,8 @@ class TestPartialSum:
         for sigma in (2.0, 0.5, -0.5):
             v = partial_sum(1, b, Argument(sigma, t))
             want = 0.0
-            for lo in range(1, b + 1, _BLOCK):
-                want += np.sum(np.arange(lo, min(b, lo + _BLOCK - 1) + 1.0) ** -sigma)
+            for lo in range(1, b + 1, BLOCK):
+                want += np.sum(np.arange(lo, min(b, lo + BLOCK - 1) + 1.0) ** -sigma)
             assert v.real == want
             assert math.copysign(1.0, v.imag) == 1.0 and v.imag == 0.0
 
@@ -180,14 +180,15 @@ class TestPartialSum:
         )
         assert abs(partial_sum(1, n, s) - want) < 1e-13
 
-    @pytest.mark.parametrize("n", [65535, 65536, 65537])
-    def test_block_edge_matches_oracle(self, n):
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 65535, 65536, 65537])
+    def test_block_edge_matches_oracle(self, n, phase_recorder):
         # sum_{k <= n} k^-s = zeta(s) - zeta(s, n + 1) (Hurwitz)
         sm = mpmath.mpc(0.5, 12345.678)
         want = complex(mpmath.zeta(sm) - mpmath.zeta(sm, n + 1))
         assert abs(partial_sum(1, n, Argument(0.5, 12345.678)) - want) < 1e-11
+        assert len(phase_recorder) == -(-n // BLOCK)  # whole blocks, then the rest
 
-    @pytest.mark.parametrize("count", [1, 15, 16, 17, 640, 65536, 65537])
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 640, BLOCK - 1, BLOCK, BLOCK + 1, 65536, 65537])
     def test_conjugate_exact(self, count):
         # both paths (short and blocked) and a block edge
         rng = random.Random(count)

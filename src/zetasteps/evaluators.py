@@ -20,7 +20,7 @@ from typing import FrozenSet
 import numpy as np
 
 from .errors import DomainError, ToleranceError
-from .steps import BLOCK, Argument, phase_blocks, step_sums
+from .steps import BLOCK, Argument, as_rows, phase_blocks, shaped, step_sums
 from .symmetry import TWOPI, frame_of, rs_theta_mod, sqrt_t_over_twopi, symmetric_parts
 
 FLAG_DEGENERATE_P = "degenerate_p"
@@ -109,28 +109,25 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
 
     The sum runs to n = 32*ceil(0.7(|t| + |sigma|)/32), at least 32, and
     n doubles, up to 8 passes, for each entry whose Bernoulli tail (at most
-    12 orders) misses target_abs_error (contractually reachable for
-    |t| <= 1e4 down to 1e-10; ToleranceError with the worst entry's best
-    error otherwise).  n depends on t alone and a float is evaluated as a
-    one-entry array, so it gets a batch row's bits; the values at |t| are
-    conjugated where t < 0.  terms_used counts the n head terms and the
+    12 orders) misses target_abs_error (ToleranceError with the worst
+    entry's best error).  The contract is 1e-10 for sigma in [0, 3] and
+    |t| <= 1e4; at sigma = -1 the head sum's rounding, which error_estimate
+    leaves out, reaches 1.2e-9 at t = 7968.  n depends on t alone, so a
+    float, a one-entry array, gets a batch row's bits; the values at |t|
+    are conjugated where t < 0.  terms_used counts the n head terms and the
     Bernoulli orders; error_estimate is the tail bound that met the target.
     """
     if target_abs_error < 1e-12:
         raise DomainError("target_abs_error below the 1e-12 floor")
     if not (-1.0 <= s.sigma <= 3.0):
         raise DomainError(f"eval_reference needs sigma in [-1, 3], got {s.sigma}")
-    t = np.ravel(s.t)
+    t = as_rows(s.t)
     if s.sigma == 1.0 and np.any(t == 0.0):
         raise DomainError("s = 1 is the pole of zeta")
     values, errors, terms = _reference_rows(s.sigma, np.abs(t), target_abs_error)
     values.imag[t < 0.0] *= -1.0  # conj at |t|
-    if isinstance(s.t, np.ndarray):
-        shape = s.t.shape
-        return EvalResult(values.reshape(shape), "reference", terms.reshape(shape),
-                          frozenset(), errors.reshape(shape))
-    return EvalResult(complex(values[0]), "reference", int(terms[0]), frozenset(),
-                      float(errors[0]))
+    return EvalResult(shaped(values, s.t), "reference", shaped(terms, s.t),
+                      error_estimate=shaped(errors, s.t))
 
 
 def em_paper_domain(s: Argument) -> None:
@@ -166,11 +163,9 @@ def eval_em_paper(s: Argument) -> EvalResult:
     or an ndarray of them (value and terms_used then arrays of its shape).
     A float is evaluated as a one-entry array, with a batch row's bits."""
     em_paper_domain(s)
-    value = em_paper_grid((s.sigma,), np.ravel(s.t))[0]
-    terms = np.floor(np.abs(s.t) / math.pi)
-    if isinstance(s.t, np.ndarray):
-        return EvalResult(value.reshape(s.t.shape), "em_paper", terms.astype(np.intp), frozenset())
-    return EvalResult(complex(value[0]), "em_paper", int(terms), frozenset())
+    t = as_rows(s.t)
+    terms = np.floor(np.abs(t) / math.pi).astype(np.intp)
+    return EvalResult(shaped(em_paper_grid((s.sigma,), t)[0], s.t), "em_paper", shaped(terms, s.t))
 
 
 # Gabcke's C_k(p), k = 0..4, of the Riemann-Siegel remainder (Gabcke,
@@ -276,7 +271,7 @@ def rs_z(t):
     a one-entry array, so it gets the same bits as in a batch: each row's
     main sum is a running sum read off at n_p, whatever the batch's longest.
     """
-    ts = np.ravel(np.asarray(t, dtype=float))
+    ts = as_rows(t)
     theta = rs_theta_mod(ts)  # first: it refuses t < 2pi before np.sqrt sees one
     r = sqrt_t_over_twopi(ts)
     n_p = np.floor(r).astype(np.intp)
@@ -291,7 +286,7 @@ def rs_z(t):
         head[part] = sums[np.arange(len(sums)), n_p[part] - lo]
     sign = np.where(n_p % 2 == 1, 1.0, -1.0)
     out = 2.0 * head + sign * _gabcke(r - n_p - 0.5, 1.0 / r) / np.sqrt(r)
-    return out.reshape(t.shape) if isinstance(t, np.ndarray) else float(out[0])
+    return shaped(out, t)
 
 
 _RS_BOUND_T_MIN, _RS_BOUND_T_MAX = 200.0, 1e7  # _rs_bound is +inf outside
@@ -322,15 +317,15 @@ def _rs_bound(t):
     least 100 seeded t per decade band of [200, 1e6] and on a few t in
     (1e6, 1e7].
     """
-    ts = np.asarray(t, dtype=float)
+    ts = as_rows(t)
     inside = (ts >= _RS_BOUND_T_MIN) & (ts <= _RS_BOUND_T_MAX)
     ts = np.clip(ts, _RS_BOUND_T_MIN, _RS_BOUND_T_MAX)
-    r = np.sqrt(ts / TWOPI)
+    r = sqrt_t_over_twopi(ts)  # rs_z's n_p, also at t = 2pi*k**2
     n = np.floor(r)
     head = 4.0 * _RS_TERM_ERR * np.sqrt(n) + (8.0 / 3.0) * _U * (n + 1.0) ** 1.5
     rest = _U * (165.0 * np.sqrt(r) + 64.0 / np.sqrt(r) + 4.0 * np.sqrt(n) + 1.0)
     b = np.where(inside, 0.017 * ts**-2.75 + head + rest, np.inf)
-    return b if isinstance(t, np.ndarray) else float(b)
+    return shaped(b, t)
 
 
 def eval_symmetric(s: Argument) -> EvalResult:
@@ -360,8 +355,7 @@ def z_reference(t):
     that rs_z's bound B(t) leaves open (all below t = 200); refine_zero, its
     fallback, solves on it.
     """
-    ts = np.ravel(np.asarray(t, dtype=float))
+    ts = as_rows(t)
     theta = rs_theta_mod(ts)  # first: it refuses t < 2pi
     value = _reference_rows(0.5, ts, 1e-10)[0]
-    z = np.cos(theta) * value.real - np.sin(theta) * value.imag
-    return z.reshape(t.shape) if isinstance(t, np.ndarray) else float(z[0])
+    return shaped(np.cos(theta) * value.real - np.sin(theta) * value.imag, t)

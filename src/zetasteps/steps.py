@@ -10,6 +10,7 @@ table), and range sums.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +29,30 @@ class Argument:
     t: float  # or an ndarray of ordinates, where a function says so
 
     def __post_init__(self):
-        t_finite = np.isfinite(self.t).all() if isinstance(self.t, np.ndarray) else math.isfinite(self.t)
-        if not (math.isfinite(self.sigma) and t_finite):
+        if not (math.isfinite(self.sigma) and np.isfinite(as_rows(self.t)).all()):
             raise ValueError("sigma and t must be finite")
 
     def conjugate(self) -> "Argument":
         return Argument(self.sigma, -self.t)
 
 
+def as_rows(t) -> np.ndarray:
+    """The ordinates of a float or an ndarray t of any shape as a 1-D float
+    array: a point is a one-entry batch.  TypeError for anything else."""
+    if not isinstance(t, (np.ndarray, numbers.Real)):
+        raise TypeError(f"t must be a float or an ndarray, got {type(t).__name__}")
+    return np.ravel(np.asarray(t, dtype=float))
+
+
+def shaped(values: np.ndarray, t):
+    """values over as_rows(t) in the shape of an ndarray t, or a Python
+    scalar for a float t, with a batch row's bits."""
+    return values.reshape(t.shape) if isinstance(t, np.ndarray) else values[0].item()
+
+
 def check_reducible(x) -> None:
     """DomainError where |x| (a float or an ndarray's largest) reaches REDUCTION_LIMIT."""
-    big = float(np.max(np.abs(x), initial=0.0)) if isinstance(x, np.ndarray) else abs(x)
+    big = float(np.max(np.abs(x), initial=0.0))
     if big >= REDUCTION_LIMIT:
         raise DomainError(f"phase of {big:.6g} rad is past the reduction limit {REDUCTION_LIMIT:.6g}")
 
@@ -99,27 +113,23 @@ def check_power(base: float, exponent: float) -> float:
 
 
 def partial_sum(a: int, b: int, s: Argument) -> complex:
-    """Sum of step_term(n, s) for a <= n <= b: np.sum within each kernel
-    block, added to a running sum over the blocks.  For t < 0 it is the sum
-    at |t|, conjugated: conj s gives the bit-exact conjugate.  DomainError
-    before the first block where the longest step, b**(-sigma), overflows."""
+    """Sum of step_term(n, s) for a <= n <= b: one row of step_sums, at |t|
+    and conjugated for t < 0, so conj s gives the bit-exact conjugate.
+    DomainError before the first block where b**(-sigma) overflows."""
     if a < 1 or b < a:
         raise ValueError(f"need 1 <= a <= b, got ({a}, {b})")
-    check_power(b, -s.sigma)
-    total = 0j
-    for lo, hi, theta in phase_blocks(abs(s.t), a, b):
-        lengths = np.arange(lo, hi + 1, dtype=float) ** (-s.sigma)
-        total += complex(np.sum(lengths * np.cos(theta)), np.sum(lengths * np.sin(theta)))
+    total = complex(step_sums((s.sigma,), np.array([abs(s.t)]), np.array([float(b)]), a)[0][0, 0])
     return total.conjugate() if s.t < 0.0 else total
 
 
-def step_sums(sigmas, t, n):
+def step_sums(sigmas, t, n, a: int = 1):
     """(sums, lengths, phases): per sigma (row) and ordinate t_i >= 0 of the
-    1-D array t (column), the sum of k**(-s) over 1 <= k <= n_i, n a float
-    array of whole n_i >= 1, and the length and phase of step n_i.  Rows of
-    one n_i share phase_blocks calls of at most BLOCK entries and their
-    cos and sin; a row is summed as partial_sum sums it, whatever the batch.
-    check_power refuses every sigma at the largest n_i first."""
+    1-D array t (column), the sum of k**(-s) over a <= k <= n_i, n a float
+    array of whole n_i >= a, and the length and phase of step n_i.  Rows of
+    one n_i share phase_blocks calls of at most BLOCK entries and their cos
+    and sin; each row is np.sum within a block, added to a running sum over
+    the blocks, whatever the batch.  check_power refuses every sigma at the
+    largest n_i first."""
     for sigma in sigmas:
         check_power(n.max(initial=1.0), -sigma)
     sums = np.empty((len(sigmas), t.size), dtype=complex)
@@ -131,7 +141,7 @@ def step_sums(sigmas, t, n):
         rows = rows[n[rows] == count]
         i += rows.size
         acc = np.zeros((2, len(sigmas), rows.size))  # real and imaginary parts
-        for lo, hi, theta in phase_blocks(t[rows], 1, int(count)):
+        for lo, hi, theta in phase_blocks(t[rows], a, int(count)):
             last[rows] = theta[:, -1]  # theta's buffer then takes the products
             cos, sin, k = np.cos(theta), np.sin(theta), np.arange(lo, hi + 1, dtype=float)
             for j, sigma in enumerate(sigmas):

@@ -29,7 +29,8 @@ from .ddmath import (
     mod_twopi,
 )
 from .errors import DomainError
-from .steps import Argument, check_power, check_reducible, partial_sum, reduced_phase, step_sums
+from .steps import (Argument, as_rows, check_power, check_reducible, partial_sum, reduced_phase,
+                    shaped, step_sums)
 
 DEGENERATE_COS_EPS = 1e-3
 _SNAP = 32 * 2.220446049250313e-16  # integer-sqrt snap, ~32 ulp relative
@@ -149,12 +150,6 @@ def frame_of(t) -> SymmetryFrame:
     return SymmetryFrame(t=t, n_p=n_p, p=p, degenerate_p=degenerate)
 
 
-def _shaped(values: np.ndarray, t):
-    """values over np.ravel(t) in the shape of an ndarray t, or one complex
-    for a float t (a point is a one-entry batch, with a batch row's bits)."""
-    return values.reshape(t.shape) if isinstance(t, np.ndarray) else complex(values[0])
-
-
 def _q_grid(sigmas, t: np.ndarray) -> np.ndarray:
     """Q(s), one row per sigma, at the 1-D array t, |t| >= 2pi: theta and
     its phase are taken once for every sigma, |Q| per sigma."""
@@ -177,7 +172,7 @@ def big_q(s: Argument):
     Q(conj s) = conj Q(s).  DomainError where |Q| overflows.
     `SymmetryFrame.q_magnitude` gives the discrete n_p**(1-2*sigma) of the
     conjugate-region checks."""
-    return _shaped(_q_grid((s.sigma,), np.ravel(s.t))[0], s.t)
+    return shaped(_q_grid((s.sigma,), as_rows(s.t))[0], s.t)
 
 
 def _pendant_parts(sigmas, t: np.ndarray) -> np.ndarray:
@@ -200,13 +195,13 @@ def pendant_offset(s: Argument):
     condition is reported through frame_of(t).degenerate_p rather than an
     exception.
     """
-    return _shaped(_pendant_parts((s.sigma,), np.ravel(s.t))[1][0], s.t)
+    return shaped(_pendant_parts((s.sigma,), as_rows(s.t))[1][0], s.t)
 
 
 def center_point(s: Argument):
     """P(s): the half sum to n_p plus the pendant offset, for a float t or
     an ndarray of them; P(conj s) = conj P(s)."""
-    return _shaped(np.add(*_pendant_parts((s.sigma,), np.ravel(s.t)))[0], s.t)
+    return shaped(np.add(*_pendant_parts((s.sigma,), as_rows(s.t)))[0], s.t)
 
 
 def symmetric_grid(sigmas, t: np.ndarray) -> np.ndarray:
@@ -224,8 +219,8 @@ def symmetric_parts(s: Argument):
     """(P(s), Q(s) * P(1-s)), whose sum is zeta(s) in the symmetric form;
     P(1-s) is conj(P(1-sigma+it)).  For a float t or an ndarray of them,
     conjugated at conj s; no sigma range is checked."""
-    p, qp = symmetric_grid((s.sigma,), np.ravel(s.t))[:, 0]
-    return _shaped(p, s.t), _shaped(qp, s.t)
+    p, qp = symmetric_grid((s.sigma,), as_rows(s.t))[:, 0]
+    return shaped(p, s.t), shaped(qp, s.t)
 
 
 def conj_region(n: int, t: float) -> ConjugateRegion:

@@ -393,6 +393,22 @@ class TestRsBound:
         assert np.isinf(got).tolist() == [[True, False], [False, True]]
 
 
+def test_rs_bound_counts_rs_z_terms_at_squares():
+    # At t = 2pi*k*k the unsnapped floor(sqrt(t/2pi)) is k - 1 for 74 of the
+    # 1,256 squares in [200, 1e7] (k = 93, 119, 186, ...), where rs_z sums
+    # k terms; B reads n_p as rs_z does, so its formula holds at n = k.
+    k = np.arange(6.0, 1262.0)
+    ts = TWOPI * k * k
+    k = k[np.floor(np.sqrt(ts / TWOPI)) == k - 1.0]
+    ts = TWOPI * k * k
+    assert k.size == 74 and k[:3].tolist() == [93.0, 119.0, 186.0]
+    assert frame_of(ts).n_p.tolist() == k.tolist()
+    u, term = 2.0**-53, evaluators._RS_TERM_ERR
+    head = 4.0 * term * np.sqrt(k) + (8.0 / 3.0) * u * (k + 1.0) ** 1.5
+    rest = u * (165.0 * np.sqrt(k) + 64.0 / np.sqrt(k) + 4.0 * np.sqrt(k) + 1.0)
+    np.testing.assert_allclose(_rs_bound(ts), 0.017 * ts**-2.75 + head + rest, rtol=1e-12)
+
+
 class TestZ:
     def test_first_zero_bracket(self):
         assert rs_z(14.0) * rs_z(14.2) < 0.0

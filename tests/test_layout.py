@@ -132,9 +132,10 @@ def test_phase_reduction_is_branch_free():
 
 
 def test_one_block_size_constant():
-    # Every array loop over steps (phase_blocks, the row groups of step_sums
-    # and rs_z, partial_sum, stepplot and the log table's growth) reads
-    # ddmath.BLOCK: one block edge, and temporaries of one size.
+    # Every array loop over steps (phase_blocks, the row groups of step_sums,
+    # whose one row is partial_sum, and of rs_z, stepplot and the log
+    # table's growth) reads ddmath.BLOCK: one block edge, and temporaries of
+    # one size.
     defined = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -191,7 +192,7 @@ def test_symmetric_form_reflects_once_per_grid():
     # Each symmetric-form grid takes its values at |t| and negates the
     # imaginary part where t < 0; the point functions reflect through the
     # grid they call, and eval_reference conjugates its values at |t|.  So
-    # _shaped only restores the caller's shape, and no function recurses.
+    # steps.shaped only restores the caller's shape, and no function recurses.
     recursive = []
     for name in ("symmetry.py", "evaluators.py"):
         for fn in ast.walk(ast.parse((SRC / name).read_text())):
@@ -201,7 +202,27 @@ def test_symmetric_form_reflects_once_per_grid():
             ):
                 recursive.append(fn.name)
     assert recursive == []
-    tree = ast.parse((SRC / "symmetry.py").read_text())
-    (shaped,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_shaped"]
+    tree = ast.parse((SRC / "steps.py").read_text())
+    (shaped,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "shaped"]
     attrs = {n.attr for n in ast.walk(shaped) if isinstance(n, ast.Attribute)}
     assert not {"imag", "conj", "conjugate"} & attrs
+
+
+def test_float_or_array_decided_at_the_boundary():
+    # One rule for a float or an ndarray t: steps.as_rows reads it as rows,
+    # steps.shaped gives the result back as a Python scalar or in t's shape.
+    # The others keep a measured float path (_theta_dd's cached dd_log),
+    # a 1-D float layout (phase_blocks) or an int n_p (frame_of).
+    def checks_ndarray(node):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+            return False
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        return any(isinstance(k, ast.Attribute) and k.attr == "ndarray" for k in kinds)
+
+    checkers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(checks_ndarray(n) for n in ast.walk(fn)):
+                checkers.add(f"{path.stem}.{fn.name}")
+    assert sorted(checkers) == ["steps.as_rows", "steps.phase_blocks", "steps.shaped",
+                                "symmetry._theta_dd", "symmetry.frame_of"]

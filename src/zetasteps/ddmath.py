@@ -11,9 +11,10 @@ The primitives are branch-free and polymorphic: they accept Python floats
 or numpy arrays alike (Dekker splitting instead of fma, which CPython 3.10
 does not expose).
 
-Every dd logarithm comes from one table-driven kernel, `_dd_log`, which
-serves the scalar `dd_log` and the integer log table alike.  The dd
-constants are float literals rounded from 50-digit mpmath values.
+Every dd logarithm comes from one table-driven kernel, `_log_parts`,
+which serves the scalar `dd_log` and the integer log table alike; the
+table runs it once per odd core m for all of m*2^i.  The dd constants are
+float literals rounded from 50-digit mpmath values.
 """
 
 from __future__ import annotations
@@ -119,28 +120,40 @@ for _j in range(64):
 _KNOT_HI, _KNOT_LO = np.array(_KNOTS).T
 
 
-def _dd_log(x):
-    """log x as a dd pair for finite x > 0, a float or an ndarray.
+def _log_parts(x):
+    """(e, j, A) with log x = (e - 1)*log 2 + log c_j + A, x > 0 finite.
 
-    Table-driven after Tang (ACM TOMS 16, 1990): x = 2^k * m with m in
-    [1, 2), c = 1 + j/64 the knot nearest m, and
-    log x = k*log 2 + log c + 2*atanh(u), u = (m - c)/(m + c), |u| <= 1/256.
-    m - c is exact and m + c is carried as a dd pair, so u is a dd quotient.
+    Table-driven after Tang (ACM TOMS 16, 1990): x = 2^(e-1) * m with m in
+    [1, 2), c_j = 1 + j/64 the knot nearest m, and A = 2*atanh(u) as a dd
+    pair, u = (m - c)/(m + c), |u| <= 1/256.  m - c is exact and m + c is
+    carried as a dd pair, so u is a dd quotient.  j and A depend on m
+    alone, so x and 2x share them bit for bit.
     """
     if isinstance(x, float):
         f, e = math.frexp(x)
         j = round(128.0 * f) - 64
-        ch, cl = _KNOTS[j]
     else:
         f, e = np.frexp(x)
         j = np.rint(128.0 * f).astype(np.intp) - 64
-        ch, cl = _KNOT_HI[j], _KNOT_LO[j]
-    m = 2.0 * f  # x = 2^(e-1) * m
+    m = 2.0 * f
     c = 1.0 + j / 64.0
     sh, sl = two_sum(m, c)
+    return e, j, _atanh2(*dd_div(m - c, sh, sl))
+
+
+def _dd_log(x):
+    """log x as a dd pair for finite x > 0, a float or an ndarray:
+    dd_add(K, A), K = (e - 1)*log 2 + log c_j, of `_log_parts`."""
+    e, j, a = _log_parts(x)
+    ch, cl = _KNOTS[j] if isinstance(x, float) else (_KNOT_HI[j], _KNOT_LO[j])
     h, l = dd_mul_double(*_KNOTS[64], e - 1.0)
-    h, l = dd_add(h, l, ch, cl)
-    return dd_add(h, l, *_atanh2(*dd_div(m - c, sh, sl)))
+    return dd_add(*dd_add(h, l, ch, cl), *a)
+
+
+# K of `_dd_log` at [e, j] for e = 0..64, by the same operations: the
+# log table's entries n*2^i share j and A and take K at e + i.
+_K_HI, _K_LO = dd_add(*dd_mul_double(*_KNOTS[64], np.arange(-1.0, 64.0)[:, None]),
+                      _KNOT_HI, _KNOT_LO)
 
 
 _dd_log_memo = lru_cache(maxsize=200_000)(_dd_log)
@@ -161,11 +174,13 @@ def dd_log(x: float):
 
 
 # ---------------------------------------------------------------------------
-# dd log table for integers 1..n, grown on demand by the same kernel in
-# BLOCK-sized pieces (which bound the temporaries) to a whole number of
-# _LOG_STEP entries, so slowly rising requests grow it rarely.  The (hi,
-# lo) pair is published as one tuple, so a reader on another thread never
-# sees the arrays of two different growths.
+# dd log table for integers 1..n, grown on demand to a whole number of
+# _LOG_STEP entries, so slowly rising requests grow it rarely.  Entry m*2^i
+# (m odd) is dd_add(K[e + i, j], A) with the j and A of the core's first new
+# entry: `_dd_log`'s operations on its operands, so its bits.  Cores come in
+# chunks of up to BLOCK, which bound the temporaries.  The (hi, lo) pair is
+# published as one tuple, so a reader on another thread never sees the
+# arrays of two different growths.
 
 # BLOCK: entries of every array loop over steps (phase blocks, row groups, the
 # table's growth); its 64 KiB float64 temporaries stay below glibc's 128 KiB
@@ -187,9 +202,19 @@ def log_table(nmax: int):
     lo = np.empty(nmax + 1)
     hi[:size] = old_hi
     lo[:size] = old_lo
-    for start in range(size, nmax + 1, BLOCK):
-        stop = min(nmax + 1, start + BLOCK)
-        hi[start:stop], lo[start:stop] = _dd_log(np.arange(start, stop, dtype=float))
+    # The first new entry of each odd core m is every n in [size, 2*size)
+    # and every odd n past that; n*2^i then shares its j and A.
+    for start, stop, step in ((size, min(2 * size, nmax + 1), 1), (2 * size + 1, nmax + 1, 2)):
+        for a in range(start, stop, step * BLOCK):
+            first = np.arange(a, min(stop, a + step * BLOCK), step, dtype=float)
+            e, j, (ah, al) = _log_parts(first)
+            i = 0
+            while a << i <= nmax:
+                count = min(len(first), ((nmax >> i) - a) // step + 1)
+                k = e[:count] + i, j[:count]
+                at = slice(a << i, ((a + step * (count - 1)) << i) + 1, step << i)
+                hi[at], lo[at] = dd_add(_K_HI[k], _K_LO[k], ah[:count], al[:count])
+                i += 1
     _log = (hi, lo)
     return hi, lo
 

@@ -143,6 +143,53 @@ def test_log_table_grows_in_whole_steps(fresh_table):
     assert len(log_table(2 * step)[0]) == 3 * step
 
 
+def start_table(size):
+    """Make the table the first `size` entries (any size >= 2), exact."""
+    hi, lo = ddmath._dd_log(np.arange(1.0, size))
+    ddmath._log = (np.append(0.0, hi), np.append(0.0, lo))
+
+
+B = ddmath.BLOCK
+
+
+@pytest.mark.parametrize("size, nmax", [
+    # fresh builds around BLOCK and 2*BLOCK
+    *[(2, n) for n in (B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1)],
+    (2, 3),
+    (65_536, 69_631),  # nmax < 2*size: every odd core has one new entry
+    (1_024, 70_655),  # nmax >= 2*size: cores below size start at m*2^i
+    (1_537, 5_000),  # odd sizes
+    (4_097, 3 * B + 17),
+])
+def test_log_table_growth_is_the_kernel_bit_for_bit(fresh_table, size, nmax):
+    start_table(size)
+    hi, lo = log_table(nmax)
+    want_hi, want_lo = ddmath._dd_log(np.arange(size, len(hi), dtype=float))
+    assert np.array_equal(hi[size:], want_hi)
+    assert np.array_equal(lo[size:], want_lo)
+
+
+@pytest.mark.parametrize("size, nmax, parts", [
+    (2, 70_655, 35_328),  # the odd m <= 70,655
+    (65_536, 69_631, 4_096),  # nmax < 2*size: one per entry
+])
+def test_log_table_shares_each_odd_core(fresh_table, monkeypatch, size, nmax, parts):
+    # atanh and the rest of the mantissa work run once per odd core m and
+    # serve m*2^i for every i; a growth that lost the sharing would pass
+    # every new entry here.
+    start_table(size)
+    seen, parts_of = [], ddmath._log_parts
+
+    def counting(x):
+        seen.append(len(x))
+        return parts_of(x)
+
+    monkeypatch.setattr(ddmath, "_log_parts", counting)
+    assert len(log_table(nmax)[0]) == nmax + 1
+    assert sum(seen) == parts
+    assert max(seen) <= ddmath.BLOCK
+
+
 def test_log_table_growth_from_threads(fresh_table):
     # The package starts no thread, but a library caller may: every thread
     # must see a complete table however the growths interleave.

@@ -171,7 +171,7 @@ def export_limacon(
     grams = gram_indices(t_lo, t_hi)
     _guard_rows("limacon", samples + grams.stop - grams.start)  # len() overflows past 2**63
     tagged = [(t, "sample") for t in _grid(t_lo, t_hi, samples)]
-    tagged += [(gram_point(n), "gram") for n in grams]
+    tagged += [(g, "gram") for _, g in _gram_rows(grams)]
     tagged.sort(key=lambda item: (item[0], item[1] == "sample"))
     p, qp = _batched(symmetric_grid, (sigma,), [t for t, _ in tagged])[:, 0]
     for (t, tag), a, b, z in zip(tagged, _python(p), _python(qp), _python(p + qp)):
@@ -258,8 +258,14 @@ def export_gram(t_lo: float, t_hi: float) -> Iterator[Tuple]:
     """Rows (n, g_n) for the Gram points in [t_lo, t_hi]."""
     grams = gram_indices(t_lo, t_hi)
     _guard_rows("gram", grams.stop - grams.start)
-    for n in grams:
-        yield (n, gram_point(n))
+    yield from _gram_rows(grams)
+
+
+def _gram_rows(grams: range) -> Iterator[Tuple[int, float]]:
+    """(n, g_n) for n in grams, solved _SLICE Gram points a call."""
+    for start in range(grams.start, grams.stop, _SLICE):
+        n = np.arange(start, min(start + _SLICE, grams.stop))
+        yield from zip(n.tolist(), gram_point(n).tolist())
 
 
 def export_conjugate(

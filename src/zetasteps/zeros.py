@@ -1,9 +1,11 @@
 """Gram points, Z sign-change scanning, zero refinement and statistics.
 
-The scan evaluates the Riemann-Siegel rs_z (main sum plus Gabcke's C0-C4
-remainder) in one batch at the Gram points, then halves the steps of each
-Gram block with fewer sign changes than Gram intervals (Rosser's rule).
-All brackets are refined together by a lockstep Illinois solve on rs_z.
+The scan solves one window of Gram points, which also gives every record
+its Gram index and scaled offset (by np.searchsorted), evaluates the
+Riemann-Siegel rs_z (main sum plus Gabcke's C0-C4 remainder) in one batch
+at them, then halves the steps of each Gram block with fewer sign changes
+than Gram intervals (Rosser's rule).  All brackets are refined together by
+a lockstep Illinois solve on rs_z, from the scan's values at their ends.
 One more batched rs_z call at c - tol/2 and c + tol/2 around every
 estimate c then certifies each zero whose two values change sign and both
 exceed the error bound B(t) of rs_z ("rs_bound").  The rest go to the
@@ -21,18 +23,16 @@ zeta(1/2 + it) to the requested tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResourceGuardError
 from .evaluators import _rs_bound, rs_z, z_reference
+from .steps import as_rows, shaped
 from .symmetry import TWOPI, rs_theta
 
-_GRAM_TOL = 1e-10
-_GRAM_MAX_ITER = 50
 _T_SCAN_FLOOR = 10.0
 _TOL_FLOOR = 1e-10
 _ROSSER_LEVELS = 5  # step halvings of a short Gram block
@@ -49,35 +49,34 @@ class ZeroRecord:
     certificate: str = "oracle"  # "rs_bound": |rs_z| > B(t); "oracle": z_reference
 
 
-@lru_cache(maxsize=100_000)
-def gram_point(N: int) -> float:
-    """The ordinate g_N with theta_RS(g_N) = N*pi, by Newton iteration to
-    |theta_RS(t) - N*pi| <= max(1e-10, 4 ulp(N*pi)): above N*pi = 2**19 the
-    rounding of theta itself exceeds 1e-10."""
-    if N < 0:
-        raise DomainError(f"Gram index must be >= 0, got {N}")
-    target = N * math.pi
-    tol = max(_GRAM_TOL, 4.0 * math.ulp(target))
-    # Seed: solve u*(log u - 1) = N + 1/8 for u = t/2pi by Newton on the
-    # smooth main term, then polish on the full series.
-    u = max(3.0, float(N))
+def gram_point(N):
+    """The ordinate g_N with theta_RS(g_N) = N*pi for an int N >= 0 or an
+    ndarray of them, each entry on its own: seed 2pi*u from Newton on
+    u*(log u - 1) = N + 1/8 (theta's main term), then Newton on the array
+    rs_theta until |theta_RS(t) - N*pi| <= max(1e-10, 4 ulp(N*pi)) (above
+    N*pi = 2**19 the rounding of theta exceeds 1e-10)."""
+    n = as_rows(N)
+    if np.min(n, initial=0.0) < 0:
+        raise DomainError(f"Gram index must be >= 0, got {np.min(n):.0f}")
+    u, open_ = np.maximum(3.0, n), np.ones(n.shape, dtype=bool)
     for _ in range(30):
-        g = u * (math.log(u) - 1.0) - (N + 0.125)
-        du = g / math.log(u)
-        u -= du
-        u = max(u, 2.8)
-        if abs(du) < 1e-12 * u:
+        log_u = np.log(u)
+        du = (u * (log_u - 1.0) - (n + 0.125)) / log_u
+        u = np.where(open_, np.maximum(u - du, 2.8), u)
+        open_ &= np.abs(du) >= 1e-12 * u
+        if not open_.any():
             break
-    t = TWOPI * u
-    for _ in range(_GRAM_MAX_ITER):
+    target = n * math.pi
+    tol = np.maximum(1e-10, 4.0 * np.spacing(target))
+    t, open_ = TWOPI * u, np.ones(n.shape, dtype=bool)
+    for _ in range(50):
         resid = rs_theta(t) - target
-        if abs(resid) <= tol:
-            return t
-        deriv = 0.5 * math.log(t / TWOPI)
-        t -= resid / deriv
-        if t < 17.1:
-            t = 17.1  # stay on the increasing branch
-    raise ConvergenceError(f"gram_point({N}) did not converge")
+        open_ &= np.abs(resid) > tol
+        if not open_.any():
+            return shaped(t, N)
+        # stay on the increasing branch, t > 17.1
+        t = np.where(open_, np.maximum(t - resid / (0.5 * np.log(t / TWOPI)), 17.1), t)
+    raise ConvergenceError(f"gram_point did not converge at N = {n[open_][0]:.0f}")
 
 
 def zero_count_main(T: float) -> float:
@@ -85,29 +84,43 @@ def zero_count_main(T: float) -> float:
     return rs_theta(T) / math.pi + 1.0
 
 
-def _gram_index_below(t: float) -> int:
-    """Largest N with g_N <= t (clamped at -1 for t below g_0), walked from
-    floor(theta_RS(t)/pi).  DomainError where the Gram spacing
-    2pi/log(t/2pi) falls below ulp(t) (from t = 1.1e15 on): there Gram points
-    no longer differ as floats and the walk would not end."""
-    if t < gram_point(0):
-        return -1
-    if TWOPI / math.log(t / TWOPI) < math.ulp(t):
-        raise DomainError(f"Gram spacing at t = {t:.6g} is below ulp(t)")
-    n = int(math.floor(rs_theta(t) / math.pi))
-    while gram_point(n) > t:
-        n -= 1
-    while gram_point(n + 1) <= t:
-        n += 1
-    return n
+def _gram_floors(t_lo: float, t_hi: float) -> Tuple[int, int]:
+    """k = floor(theta_RS(t)/pi) at t_lo and t_hi, as mpmath's gram_index reads
+    it: g_{k-1} < t < g_{k+2} up to t = 1e14.  ResourceGuardError past
+    SCAN_GUARD Gram intervals between them, then DomainError where the Gram
+    spacing 2pi/log(t/2pi) is below ulp(t_hi), from t = 2**50: Gram points are one float."""
+    k_lo, k_hi = (math.floor(rs_theta(max(t, TWOPI)) / math.pi) for t in (t_lo, t_hi))
+    if k_hi - k_lo > SCAN_GUARD:
+        raise ResourceGuardError(f"scan of {k_hi - k_lo:.3g} Gram intervals exceeds {SCAN_GUARD}")
+    if t_hi > TWOPI and TWOPI / math.log(t_hi / TWOPI) < math.ulp(t_hi):
+        raise DomainError(f"Gram spacing at t = {t_hi:.6g} is below ulp(t)")
+    return k_lo, k_hi
+
+
+def _gram_window(t_lo: float, t_hi: float) -> Tuple[int, np.ndarray]:
+    """(n0, g): the Gram points g_n0 < t_lo (or n0 = 0) ... g[-1] > t_hi in
+    one gram_point call."""
+    k_lo, k_hi = _gram_floors(t_lo, t_hi)
+    n0 = max(k_lo - 1, 0)
+    return n0, gram_point(np.arange(n0, k_hi + 3))
 
 
 def gram_indices(t_lo: float, t_hi: float) -> range:
-    """Indices n with t_lo <= g_n <= t_hi."""
-    n = _gram_index_below(t_lo)
-    if n < 0 or gram_point(n) < t_lo:
-        n += 1
-    return range(n, _gram_index_below(t_hi) + 1)
+    """Indices n with t_lo <= g_n <= t_hi, from g_k and g_{k+1} at each end."""
+    k = np.maximum([_gram_floors(t, t)[0] for t in (t_lo, t_hi)], 0)[:, None] + np.arange(2)
+    g = gram_point(k)
+    return range(int(k[0, 0] + np.searchsorted(g[0], t_lo)),
+                 int(k[1, 0] + np.searchsorted(g[1], t_hi, side="right")))
+
+
+class _Brackets(list):
+    """The scan's (lo, hi) brackets from rows 0 and 1 of ends, carrying z at
+    them (`values`, rows 2 and 3) and the scan's Gram window (`grams`), which
+    find_zeros reads in place of a second z call and a second Gram solve."""
+
+    def __init__(self, ends: np.ndarray, grams: Optional[Tuple[int, np.ndarray]]):
+        super().__init__(zip(*ends[:2].tolist()))
+        self.values, self.grams = ends[2:], grams
 
 
 def scan_z_sign_changes(
@@ -124,21 +137,20 @@ def scan_z_sign_changes(
     block of k Gram intervals should hold k sign changes (Rosser, Yohe &
     Schoenfeld 1968).  Short blocks halve their steps up to _ROSSER_LEVELS
     times, one call of z per level, and each block keeps the brackets of
-    the first level that meets its count, else of the last.  A range of
+    the first level that meets its count, else of the last.  The list also
+    carries z at the bracket ends and the Gram window (_Brackets).  A range of
     more than SCAN_GUARD Gram intervals raises ResourceGuardError before
     any Gram point is computed.
     """
     if t_lo < TWOPI:
         raise DomainError(f"scan needs t_lo >= 2*pi, got {t_lo}")
     if t_hi <= t_lo:
-        return []
-    intervals = (rs_theta(t_hi) - rs_theta(t_lo)) / math.pi
-    if intervals > SCAN_GUARD:
-        raise ResourceGuardError(f"scan of {intervals:.3g} Gram intervals exceeds {SCAN_GUARD}")
-    inner = gram_indices(t_lo, t_hi)
-    ns = range(max(inner.start - 1, 0), inner.stop + 1)
-    sign = {t_lo: 0 if inner.start else -1, t_hi: 0}  # below g_0, t_lo is g_{-1}
-    sign.update((gram_point(n), 1 - 2 * (n % 2)) for n in ns)  # (-1)**n at g_n
+        return _Brackets(np.empty((4, 0)), None)
+    n0, g = grams = _gram_window(t_lo, t_hi)
+    a, b = np.searchsorted(g, t_lo), np.searchsorted(g, t_hi, side="right")
+    sign = {t_lo: 0 if n0 + a else -1, t_hi: 0}  # below g_0, t_lo is g_{-1}
+    n = np.arange(n0 + max(a - 1, 0), n0 + b + 1)
+    sign.update(zip(g[n - n0].tolist(), (1 - 2 * (n % 2)).tolist()))  # (-1)**n at g_n
     x, sign = np.array(sorted(sign.items())).T
     v = z(x)
     good = sign * v > 0.0
@@ -146,7 +158,7 @@ def scan_z_sign_changes(
     need = np.diff(np.cumsum(sign != 0)[good])  # Gram intervals per block
     block = np.cumsum(good[:-1]) - 1  # the block of each grid step
     x, v = np.stack([x[:-1], x[1:]], axis=1), np.stack([v[:-1], v[1:]], axis=1)
-    brackets: List[Tuple[float, float]] = []
+    found = []  # (lo, hi, z(lo), z(hi)) of the blocks each level completes
     for level in range(_ROSSER_LEVELS + 1):
         if level:  # twice the steps per row; z fills the new, odd columns
             x = np.linspace(x[:, 0], x[:, -1], 2 * x.shape[1] - 1, axis=1)
@@ -156,15 +168,17 @@ def scan_z_sign_changes(
         v0, v1 = v[:, :-1], v[:, 1:]
         zero = v0 == 0.0
         change = zero | (v0 * v1 < 0.0)
-        found = np.bincount(block, change.sum(axis=1), minlength=len(need))
-        done = (found >= need)[block] | (level == _ROSSER_LEVELS)
+        count = np.bincount(block, change.sum(axis=1), minlength=len(need))
+        done = (count >= need)[block] | (level == _ROSSER_LEVELS)
         r, i = np.nonzero(change & done[:, None])
-        his = np.where(zero[r, i], x[r, i], x[r, i + 1])
-        brackets.extend(zip(x[r, i].tolist(), his.tolist()))
+        j = np.where(zero[r, i], i, i + 1)  # a zero of z brackets itself
+        found.append((x[r, i], x[r, j], v[r, i], v[r, j]))
         x, v, block = x[~done], v[~done], block[~done]
         if not len(block):
             break
-    return sorted((lo, hi) for lo, hi in brackets if t_lo <= lo and hi <= t_hi)
+    ends = np.array([np.concatenate(part) for part in zip(*found)])
+    ends = ends[:, (t_lo <= ends[0]) & (ends[1] <= t_hi)]
+    return _Brackets(ends[:, np.argsort(ends[0])], grams)
 
 
 def refine_zero(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
@@ -183,7 +197,7 @@ def refine_zero(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
     x, f = _illinois(z_reference, [lo, hi], z_reference(np.array([lo, hi])), tol)
     if hi - lo <= tol:
         return _record(0.5 * (lo + hi))
-    return _nearer(x[:, 0].tolist(), f[:, 0].tolist())
+    return _placed([_nearer(x[:, 0].tolist(), f[:, 0].tolist())])[0]
 
 
 def _illinois(z, x, f, tol):
@@ -218,21 +232,34 @@ def _illinois(z, x, f, tol):
     return x, f
 
 
+def _placed(records: Sequence[ZeroRecord], grams=None, first: int = 0) -> List[ZeroRecord]:
+    """The records, numbered from `first`, each with its Gram index n, g_n <=
+    t < g_{n+1} (-1 below g_0), and scaled offset (t - mid)/(half width) in
+    that interval (NaN below g_0), by np.searchsorted on the Gram window
+    grams (n0, g), or on one solved over the records if it misses one."""
+    if not records:
+        return []
+    t = np.array([r.t for r in records])
+    n0, g = grams or (0, None)
+    if g is None or (n0 and t.min() < g[0]) or t.max() >= g[-1]:
+        n0, g = _gram_window(t.min(), t.max())
+    k = np.searchsorted(g, t, side="right")  # g[k - 1] <= t < g[k]
+    g0, g1 = g[k - 1], g[k]  # k = 0, below g_0, reads g[-1]: no offset there
+    offset = (t - 0.5 * (g0 + g1)) / (0.5 * (g1 - g0))
+    return [ZeroRecord(first + i, r.t, n, o if n >= 0 else math.nan, r.residual, r.certificate)
+            for i, (r, n, o) in enumerate(zip(records, (n0 + k - 1).tolist(), offset.tolist()))]
+
+
 def _record(t: float, residual: float = math.nan, certificate: str = "oracle") -> ZeroRecord:
     """The record at t (ordinal 0) with its Gram index and scaled offset."""
-    idx = _gram_index_below(t)
-    if idx < 0:
-        return ZeroRecord(0, t, -1, math.nan, residual, certificate)
-    g0 = gram_point(idx)
-    g1 = gram_point(idx + 1)
-    offset = (t - 0.5 * (g0 + g1)) / (0.5 * (g1 - g0))
-    return ZeroRecord(0, t, idx, offset, residual, certificate)
+    return _placed([ZeroRecord(0, t, -1, math.nan, residual, certificate)])[0]
 
 
 def _nearer(x, f, certificate: str = "oracle") -> ZeroRecord:
-    """The record at the bracket end x[k] with the smaller |f[k]|, and that |f[k]|."""
+    """The record at the bracket end x[k] with the smaller |f[k]|, and that
+    |f[k]|, its Gram fields left for _placed."""
     k = 0 if abs(f[0]) <= abs(f[1]) else 1
-    return _record(x[k], abs(f[k]), certificate)
+    return ZeroRecord(0, x[k], -1, math.nan, abs(f[k]), certificate)
 
 
 def _certify(est: np.ndarray, brackets: List[Tuple[float, float]],
@@ -298,7 +325,7 @@ def find_zeros(
     # changes sign across c -+ tol/2 by more than its bound, else on the oracle.
     brackets = scan_z_sign_changes(t_lo, t_hi)
     x = np.array(brackets).reshape(-1, 2).T
-    (lo, hi), (f_lo, f_hi) = _illinois(rs_z, x, rs_z(x), tol)
+    (lo, hi), (f_lo, f_hi) = _illinois(rs_z, x, brackets.values, tol)
     est = lo - f_lo * (hi - lo) / np.where(f_hi == f_lo, 1.0, f_hi - f_lo)
     ends = est + np.array([[-0.5], [0.5]]) * tol
     f = rs_z(ends)
@@ -310,10 +337,9 @@ def find_zeros(
     ]
     records: List[ZeroRecord] = []
     for rec in sorted(refined, key=lambda r: r.t):
-        if records and rec.t - records[-1].t <= 10.0 * tol:
-            continue
-        records.append(replace(rec, ordinal=offset + len(records) + 1))
-    return records
+        if not records or rec.t - records[-1].t > 10.0 * tol:
+            records.append(rec)
+    return _placed(records, brackets.grams, offset + 1)
 
 
 def gram_offsets(zeros: Sequence[ZeroRecord]) -> List[float]:

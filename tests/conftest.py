@@ -26,15 +26,15 @@ def table_recorder(monkeypatch):
 
 @pytest.fixture
 def gram_recorder(monkeypatch):
-    """Count the Gram point calls made through `zetasteps.zeros` and fail
-    past 1,000, so a guard that comes too late fails without walking its
-    range.  Yields the list of requested indices."""
+    """Count the Gram points solved through `zetasteps.zeros` (np.size of
+    each request) and fail past 1,000, so a guard that comes too late fails
+    before it solves its range.  Yields the list of requests."""
     calls = []
     gram_point = zeros.gram_point
 
     def recorder(n):
         calls.append(n)
-        assert len(calls) <= 1000, "walked the Gram points past 1,000 calls"
+        assert sum(map(np.size, calls)) <= 1000, "solved more than 1,000 Gram points"
         return gram_point(n)
 
     monkeypatch.setattr(zeros, "gram_point", recorder)

@@ -8,16 +8,19 @@ import pytest
 
 from zetasteps import (
     Argument,
+    DomainError,
     big_q,
     center_point,
     eval_em_paper,
     eval_reference,
+    gram_point,
     pendant_offset,
     rs_theta,
     rs_theta_mod,
     rs_z,
     z_reference,
 )
+from zetasteps import zeros
 from zetasteps.symmetry import symmetric_parts
 
 
@@ -73,3 +76,32 @@ def test_list_is_a_type_error(name):
     ts = _ordinates(name, 2).tolist()
     with pytest.raises(TypeError):
         CASES[name][0](ts)
+
+
+# gram_point takes an int N, or an ndarray of them, where the others take t
+def test_gram_point_int_gives_a_python_float():
+    assert type(gram_point(12_345)) is float
+
+
+def test_gram_point_array_keeps_its_shape_and_each_entry_its_int_bits():
+    ns = np.random.default_rng([20261019, 10]).integers(0, 300_000, (2, 3))
+    got = gram_point(ns)
+    assert isinstance(got, np.ndarray) and got.shape == (2, 3)
+    for index, n in np.ndenumerate(ns):
+        assert float(got[index]).hex() == gram_point(int(n)).hex(), (index, n)
+
+
+def test_gram_point_list_is_a_type_error():
+    with pytest.raises(TypeError):
+        gram_point([3, 4])
+
+
+@pytest.mark.parametrize("ns", [-1, np.array([-2, 4]), np.array([[3, 5, 8], [0, 2, -1]])])
+def test_gram_point_negative_entry_refused_before_any_solve(ns, monkeypatch):
+    def solve(*args):
+        raise AssertionError("solved before the domain check")
+
+    monkeypatch.setattr(zeros.np, "log", solve)  # the seed's first step
+    monkeypatch.setattr(zeros, "rs_theta", solve)
+    with pytest.raises(DomainError):
+        gram_point(ns)

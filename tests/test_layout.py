@@ -99,6 +99,13 @@ def test_theta_helpers_named_only_by_symmetry():
     assert users == ["symmetry.py"]
 
 
+def test_zeros_keeps_no_gram_cache():
+    # gram_point solves an ndarray of N in one Newton iteration, and a zero
+    # search solves one window of Gram points that serves its grid and every
+    # record: no per-N cache is left to fill.
+    assert "lru_cache" not in code_names(SRC / "zeros.py")
+
+
 def test_no_module_names_fsum():
     # One summation policy: np.sum within each phase_blocks block plus a
     # running sum over the blocks (np.cumsum plus that carry for prefix

@@ -58,12 +58,19 @@ class TestGramPoints:
         with pytest.raises(DomainError):
             gram_point(-1)
 
-    def test_float_served_from_cache(self):
-        g = gram_point(12_345)
-        hits = gram_point.cache_info().hits
-        assert type(g) is float
-        assert gram_point(12_345) == g
-        assert gram_point.cache_info().hits == hits + 1
+    def test_batch_matches_int_calls_and_mpmath(self):
+        # g_0 .. g_200,000 in one call; an int call costs about 1 ms, so
+        # the per-N check takes the ends, the five N whose bits moved by 1
+        # ulp from the scalar Newton loop, 2**19/pi and 200 seeded N
+        g = gram_point(np.arange(200_001))
+        assert np.all(np.diff(g) > 0.0)
+        rng = np.random.default_rng(20261019)
+        for n in [0, 1, 4550, 127_293, 139_595, 184_196, 193_549, 166_886, 200_000,
+                  *rng.integers(0, 200_001, 200).tolist()]:
+            assert gram_point(n).hex() == float(g[n]).hex(), n
+        seeded = np.sort(rng.integers(0, 30_000_001, 40))
+        for n, t in zip(seeded.tolist(), gram_point(seeded).tolist()):
+            assert abs(t - float(mpmath.grampoint(n))) < 1e-6, n
 
     # Above N*pi = 2**19 (N >= 166,886), ulp(theta) exceeds 1e-10; Newton
     # must stop within a few ulp(N*pi) instead.
@@ -294,6 +301,41 @@ def _instrument(monkeypatch, fn, wrapper):
                 monkeypatch.setattr(value, "__defaults__", tuple(
                     wrapper if d is fn else d for d in value.__defaults__
                 ))
+
+
+class TestOneGramSolve:
+    def test_search_solves_once_and_reads_no_bracket_end_again(self, monkeypatch):
+        # the scan's Gram window serves the grid and every record, and its
+        # rs_z values at the bracket ends seed the solve: after the scan,
+        # rs_z takes none of those ends (the parent took 2 per bracket)
+        t_hi = gram_point(1002)
+        solves, after_scan, brackets, in_scan = [], [], [], [False]
+
+        def counted(n):
+            solves.append(np.size(n))
+            return gram_point(n)
+
+        def fast(t):
+            if not in_scan[0]:
+                after_scan.extend(np.ravel(t).tolist())
+            return rs_z(t)
+
+        def scan(*args, **kwargs):
+            in_scan[0] = True
+            try:
+                found = scan_z_sign_changes(*args, **kwargs)
+            finally:
+                in_scan[0] = False
+            brackets.extend(found)
+            return found
+
+        _instrument(monkeypatch, gram_point, counted)
+        _instrument(monkeypatch, rs_z, fast)
+        _instrument(monkeypatch, scan_z_sign_changes, scan)
+        records = find_zeros(10.0, t_hi)
+        assert len(records) == 1003 and len(brackets) >= 1003
+        assert len(solves) == 1
+        assert after_scan and not {t for b in brackets for t in b} & set(after_scan)
 
 
 class TestOneStageRefine:

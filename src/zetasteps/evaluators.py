@@ -48,14 +48,14 @@ _SHIFTS = np.arange(1.0, 2.0 * len(_BERNOULLI) + 1.0)  # m = 1..24 of s + m
 
 def _em_rows(sigma: float, a: np.ndarray, n: np.ndarray, target: float):
     """One Euler-Maclaurin pass at s = sigma + i*a, a >= 0, truncated at the
-    whole n >= 0.7(a + |sigma|), n >= 32: (values, error estimates,
-    Bernoulli orders used).  The head sums k**(-s) to n (one step_sums
-    call); the tail is n*w/(s - 1) - w/2, w = n**(-s), plus the orders
-    k = 1..12 of B_2k/(2k)! s(s+1)...(s+2k-2) n**(-s-2k+1), formed at once
-    as a cumprod of their ratios.  Order k's estimate bounds the rest by
-    its next term, |term_k| q_k / (1 - q_k), q_k = |(s+2k-1)(s+2k)|/(2 pi n)**2,
-    which such an n keeps below 1/8.  Each row stops at its first order
-    whose estimate is <= target/4, else at order 12.
+    whole n >= 32 (_em_cut's, or a multiple of it): (values, error
+    estimates, Bernoulli orders used).  The head sums k**(-s) to n (one
+    step_sums call); the tail is n*w/(s - 1) - w/2, w = n**(-s), plus the
+    orders k = 1..12 of B_2k/(2k)! s(s+1)...(s+2k-2) n**(-s-2k+1), formed at
+    once as a cumprod of their ratios.  Order k's estimate bounds the rest
+    by its next term, |term_k| q_k / (1 - q_k), q_k = |(s+2k-1)(s+2k)|/(2 pi n)**2,
+    which such an n keeps at or below 1/8.  Each row stops at its first
+    order whose estimate is <= target/4, else at order 12.
     """
     sums, lengths, phases = step_sums((sigma,), a, n)
     # Below t = 1 the tail's 1/(s - 1) would scale up the rounding of a
@@ -77,12 +77,40 @@ def _em_rows(sigma: float, a: np.ndarray, n: np.ndarray, target: float):
     return sums[0] + tail, err[rows, k], k + 1
 
 
+_LOG_B24 = math.log(abs(_B_OVER_FACT[-1]) / TWOPI**2)
+_LOG_SQRT8_OVER_TWOPI = math.log(math.sqrt(8.0) / TWOPI)
+_TINY = np.finfo(float).tiny
+
+
+def _em_cut(sigma: float, a: np.ndarray, target: float) -> np.ndarray:
+    """The least multiple of 32, at least 32, at which _em_rows meets its two
+    rules at s = sigma + i*a, a >= 0: q_12 = |(s+23)(s+24)|/(2 pi n)**2 <= 1/8
+    (the largest q_k), so n >= floor; and an order-12 estimate <= target/4,
+    so n >= root / (1 - q_12)**(1/p), p = sigma + 25, where
+    root**p = 4/target |B_24/24!| |s(s+1)...(s+24)| / (2 pi)**2.  As q_12 <= 1/8,
+    max(floor, root (8/7)**(1/p)) meets both.  Where that exceeds floor the
+    second rule binds, and six fixed-point passes, each nearer by a factor
+    2 q_12 / ((1 - q_12) p) < 0.012 from the other side, end above its least
+    n by at most 2e-14 of it.  In logs a huge a overflows nothing, and
+    |s + m| >= the least normal float keeps them finite at s = 0 and -1,
+    where the estimate is 0."""
+    logs = np.log(np.maximum(np.hypot(sigma + np.arange(25.0), a[:, None]), _TINY))  # log|s + m|
+    floor = np.exp(0.5 * (logs[:, 23] + logs[:, 24]) + _LOG_SQRT8_OVER_TWOPI)  # > 10: n >= 32
+    p = sigma + 25.0
+    root = np.exp((logs.sum(axis=1) + (_LOG_B24 + math.log(4.0 / target))) / p)
+    n = np.maximum(floor, root * (8.0 / 7.0) ** (1.0 / p))
+    if np.any(n > floor):
+        for _ in range(6):
+            n = np.maximum(floor, root * (1.0 - (floor / n) ** 2 / 8.0) ** (-1.0 / p))
+    return 32.0 * np.ceil(n / 32.0)
+
+
 def _reference_rows(sigma: float, a: np.ndarray, target: float):
     """(values, error estimates, terms used) of zeta(sigma + i*a) at the 1-D
-    array a >= 0: _em_rows at n = 32*ceil(0.7(a + |sigma|)/32), at least 32,
-    and at twice the n of each row that misses the target, up to 8 passes.
+    array a >= 0: _em_rows at n = _em_cut(sigma, a, target), and at twice
+    the n of each row that still misses the target, up to 8 passes.
     ToleranceError names the worst row's best error."""
-    n = np.maximum(32.0, 32.0 * np.ceil(0.7 * (a + abs(sigma)) / 32.0))
+    n = _em_cut(sigma, a, target)
     values, errors, used = _em_rows(sigma, a, n, target)
     todo = np.flatnonzero(errors > target)
     best = errors[todo]
@@ -107,9 +135,11 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
     a float t or an ndarray of them (value, terms_used and error_estimate
     then arrays of its shape).
 
-    The sum runs to n = 32*ceil(0.7(|t| + |sigma|)/32), at least 32, and
-    n doubles, up to 8 passes, for each entry whose Bernoulli tail (at most
-    12 orders) misses target_abs_error (ToleranceError with the worst
+    The sum runs to the least multiple n of 32, at least 32, at which each
+    q_k = |(s+2k-1)(s+2k)|/(2 pi n)**2 is <= 1/8 and the twelfth Bernoulli
+    order's tail estimate is <= target_abs_error/4 (_em_cut), about 0.45|t|
+    on the critical line at 1e-10.  n doubles, up to 8 passes, for each
+    entry that still misses target_abs_error (ToleranceError with the worst
     entry's best error).  The contract is 1e-10 for sigma in [0, 3] and
     |t| <= 1e4; at sigma = -1 the head sum's rounding, which error_estimate
     leaves out, reaches 1.2e-9 at t = 7968.  n depends on t alone, so a

@@ -15,9 +15,10 @@ values of each that shows no sign change, and one more call on those.
 Only then comes the per-zero fallback: widen the scan bracket until the
 oracle changes sign across it and refine_zero solves on the oracle there.
 B is +inf below t = 200, so low zeros always take the oracle.  The
-oracle sums to n = 32*ceil(0.7(t + 1/2)/32) terms at each point
-(evaluators.eval_reference).  Every reported ordinate is a true zero of
-zeta(1/2 + it) to the requested tolerance.
+oracle sums to the least multiple of 32 terms that its own tail bound
+accepts, about 0.45t, at each point (evaluators.eval_reference).  Every
+reported ordinate is a true zero of zeta(1/2 + it) to the requested
+tolerance.
 """
 
 from __future__ import annotations
@@ -189,6 +190,11 @@ def refine_zero(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
     final-bracket endpoint with the smaller |Z|, which lies within tol of
     the zero, and that |Z| as its residual.
     """
+    return _placed([_refined(bracket, tol)])[0]
+
+
+def _refined(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
+    """refine_zero's record, its Gram fields left for _placed."""
     if tol < _TOL_FLOOR:
         raise DomainError(f"tol must be >= {_TOL_FLOOR:g}")
     lo, hi = bracket
@@ -196,8 +202,8 @@ def refine_zero(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
         raise DomainError("bracket endpoints out of order")
     x, f = _illinois(z_reference, [lo, hi], z_reference(np.array([lo, hi])), tol)
     if hi - lo <= tol:
-        return _record(0.5 * (lo + hi))
-    return _placed([_nearer(x[:, 0].tolist(), f[:, 0].tolist())])[0]
+        return ZeroRecord(0, 0.5 * (lo + hi), -1, math.nan)
+    return _nearer(x[:, 0].tolist(), f[:, 0].tolist())
 
 
 def _illinois(z, x, f, tol):
@@ -250,11 +256,6 @@ def _placed(records: Sequence[ZeroRecord], grams=None, first: int = 0) -> List[Z
             for i, (r, n, o) in enumerate(zip(records, (n0 + k - 1).tolist(), offset.tolist()))]
 
 
-def _record(t: float, residual: float = math.nan, certificate: str = "oracle") -> ZeroRecord:
-    """The record at t (ordinal 0) with its Gram index and scaled offset."""
-    return _placed([ZeroRecord(0, t, -1, math.nan, residual, certificate)])[0]
-
-
 def _nearer(x, f, certificate: str = "oracle") -> ZeroRecord:
     """The record at the bracket end x[k] with the smaller |f[k]|, and that
     |f[k]|, its Gram fields left for _placed."""
@@ -269,8 +270,8 @@ def _certify(est: np.ndarray, brackets: List[Tuple[float, float]],
     every c.  Where both values share a sign, one secant step on them moves
     c and a second call checks those rows.  Rows with two equal values, and
     rows that fail twice, widen both ends of their scan bracket by h = 0,
-    1e-4, 2e-4, ... up to 1 until the oracle changes sign, and refine_zero
-    solves there."""
+    1e-4, 2e-4, ... up to 1 until the oracle changes sign, and refine_zero's
+    solve runs there."""
     records: List[Optional[ZeroRecord]] = [None] * len(brackets)
     todo, c = np.arange(len(brackets)), est
     for _ in range(2):
@@ -288,12 +289,13 @@ def _certify(est: np.ndarray, brackets: List[Tuple[float, float]],
 
 
 def _widened(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
-    """refine_zero on the scan bracket widened by the first h = 0, 1e-4,
-    2e-4, ... up to 1 at which the oracle changes sign across it."""
+    """refine_zero's unplaced record on the scan bracket widened by the
+    first h = 0, 1e-4, 2e-4, ... up to 1 at which the oracle changes sign
+    across it; find_zeros places it on the scan's Gram window."""
     for h in [0.0] + [1e-4 * 2.0**k for k in range(14)]:
         lo, hi = bracket[0] - h, bracket[1] + h
         if z_reference(lo) * z_reference(hi) <= 0.0:
-            return refine_zero((lo, hi), tol)
+            return _refined((lo, hi), tol)
     raise ConvergenceError(f"no oracle sign change near {bracket}")
 
 

@@ -95,7 +95,7 @@ class TestReference:
         with pytest.raises(ToleranceError) as exc:
             eval_reference(Argument(0.5, 100.0))
         assert exc.value.best_error == 2e-6
-        assert calls == [[96.0 * 2**k] for k in range(8)]  # 8 tries, N doubling from 96
+        assert calls == [[64.0 * 2**k] for k in range(8)]  # 8 tries, N doubling from 64
 
     def test_unmet_target_in_a_batch(self, monkeypatch):
         # one entry that misses its target fails the call; the error names
@@ -150,17 +150,84 @@ class TestReference:
         assert abs(got - mp_zeta(sigma, t)) < 1e-9
 
 
+_B24_OVER_FACT = float(abs(mpmath.bernoulli(24)) / mpmath.factorial(24))
+
+
+def _cut_rules(sigma, t, n, target):
+    """The oracle's two rules at the head-sum length n, from products:
+    q_12 = |(s+23)(s+24)|/(2 pi n)**2 <= 1/8, and the order-12 estimate
+    |B_24/24!| |s(s+1)...(s+24)| / (2 pi)**2 n**-(sigma+25) / (1 - q_12) <= target/4."""
+    s = complex(sigma, abs(t))
+    q = abs((s + 23) * (s + 24)) / (TWOPI * n) ** 2
+    size = _B24_OVER_FACT * math.prod(abs(s + m) for m in range(25)) / TWOPI**2
+    return q <= 0.125, q < 1.0 and size * n ** -(sigma + 25.0) / (1.0 - q) <= target / 4.0
+
+
+def _cut_edge(sigma, n, target=1e-10):
+    """The largest float t >= 0 at which both rules hold at n (each only
+    tightens as t grows), by bisection."""
+    lo, hi = 0.0, 100.0 * n
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if all(_cut_rules(sigma, mid, n, target)) else (lo, mid)
+    return lo
+
+
+class TestCut:
+    def test_least_multiple_of_32_meeting_both_rules(self, monkeypatch):
+        # every row meets the target in the first pass: one _em_rows call
+        calls = []
+        em_rows = evaluators._em_rows
+
+        def seen(sigma, a, n, target):
+            calls.append((a.tolist(), n.tolist()))
+            return em_rows(sigma, a, n, target)
+
+        monkeypatch.setattr(evaluators, "_em_rows", seen)
+        rng = np.random.default_rng(20261020)
+        cases = [(-1.0, np.array([0.0]), 1e-10), (0.0, np.array([0.0]), 1e-10)]
+        for _ in range(12):
+            t = np.concatenate([rng.uniform(-1e5, 1e5, 2), rng.uniform(-300.0, 300.0, 2)])
+            cases.append((float(rng.uniform(-1.0, 3.0)), t, float(10.0 ** rng.uniform(-12.0, -6.0))))
+        for sigma, t, target in cases:
+            calls.clear()
+            res = eval_reference(Argument(sigma, t), target)
+            assert len(calls) == 1
+            for a, n in zip(*calls[0]):
+                assert n >= 32 and n % 32 == 0
+                assert all(_cut_rules(sigma, a, n, target)), (sigma, a, n, target)
+                assert n == 32 or not all(_cut_rules(sigma, a, n - 32, target)), (sigma, a, n, target)
+            assert np.all(res.error_estimate <= target / 4.0)
+        # s = -1 and s = 0 zero a factor of the estimate: n = 32, no warning
+        assert abs(eval_reference(Argument(-1.0, 0.0)).value + 1.0 / 12.0) < 1e-12
+        assert abs(eval_reference(Argument(0.0, 0.0)).value + 0.5) < 1e-12
+
+    def test_critical_line_terms_below_half_t(self):
+        # q_12 <= 1/8 alone would give n = sqrt(8)/(2 pi) t = 0.450 t there
+        t = np.exp(np.random.default_rng(20261021).uniform(math.log(1e3), math.log(1e5), 6))
+        t = np.concatenate([[1e3, 1e5], t])
+        assert np.all(eval_reference(Argument(0.5, t)).terms_used <= 0.5 * t + 12)
+
+    def test_z_reference_against_siegelz(self):
+        # the zero search's oracle at the shorter cut, two seeded t per decade
+        rng = np.random.default_rng(20261022)
+        ts = np.exp(np.concatenate([rng.uniform(math.log(lo), math.log(10.0 * lo), 2)
+                                    for lo in (1e3, 1e4, 1e5)]))
+        with mpmath.workdps(20):
+            want = [float(mpmath.siegelz(t)) for t in ts]
+        assert np.all(np.abs(z_reference(ts) - want) <= 1e-10)
+
+
 def _hex(x):
     return [float(v).hex() for v in np.ravel([np.real(x), np.imag(x)])]
 
 
 class TestBatchedReference:
-    # n = 32*ceil(0.7(|t| + |sigma|)/32) steps up by 32 where 0.7(|t| + |sigma|)
-    # crosses a multiple of 32
+    # n steps up by 32 where the rules at 32m, met below an edge t, stop
+    # holding (_cut_edge)
     @staticmethod
     def _ordinates(sigma):
         rng = np.random.default_rng(20261019)
-        edges = [32.0 * m / 0.7 - abs(sigma) for m in (1, 2, 5, 40)]
+        edges = [_cut_edge(sigma, 32.0 * m) for m in (1, 2, 5, 40)]
         sides = [e + d for e in edges for d in (-1e-9, 1e-9)]
         tiny = rng.uniform(0.0, 1.0, 3).tolist()
         wide = rng.uniform(1.0, 3000.0, 5).tolist()
@@ -199,7 +266,7 @@ class TestBatchedReference:
     # sigma is drawn per band from [0, 3]: at sigma = -1 the rounding of the
     # head sum alone reaches 1e-9 by t = 8000
     @pytest.mark.parametrize("band", [(0.0, 1.0), (1.0, 10.0), (10.0, 100.0),
-                                      (100.0, 1e3), (1e3, 1e4)])
+                                      (100.0, 1e3), (1e3, 1e4), (1e4, 1e5)])
     def test_error_estimate_against_quad_oracle(self, band):
         rng = np.random.default_rng([20261019, int(band[1])])
         for sigma in (0.5, float(rng.uniform(0.0, 3.0))):

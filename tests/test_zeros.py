@@ -351,24 +351,25 @@ class TestOneStageRefine:
         for t, w in zip(got, want):
             assert abs(t - w) <= 1e-8
 
-    def test_forced_fallback(self, monkeypatch):
+    def test_forced_fallback(self, monkeypatch, gram_recorder):
         # an rs_z off by 1e-3 moves each estimate by ~1e-3: the oracle check
         # and its secant re-check fail, and every zero comes from the
-        # fallback, refine_zero on the (widened) scan bracket
-        import zetasteps.zeros as zeros_mod
-
+        # fallback, refine_zero's unplaced solve on the (widened) scan
+        # bracket; find_zeros places every record on the scan's Gram
+        # window, the one Gram solve of the search
         fallbacks = []
-        solve = zeros_mod.refine_zero
+        solve = zeros_module._refined
 
         def counted(bracket, tol):
             fallbacks.append(bracket)
             return solve(bracket, tol)
 
-        monkeypatch.setattr(zeros_mod, "rs_z", lambda t: rs_z(t) + 1e-3)
-        monkeypatch.setattr(zeros_mod, "refine_zero", counted)
+        monkeypatch.setattr(zeros_module, "rs_z", lambda t: rs_z(t) + 1e-3)
+        monkeypatch.setattr(zeros_module, "_refined", counted)
         records = find_zeros(10.0, 60.0)
         want = [float(mpmath.zetazero(n).imag) for n in range(1, 14)]
         assert len(records) == len(fallbacks) == len(want)
+        assert len(gram_recorder) == 1
         for rec, w in zip(records, want):
             assert abs(rec.t - w) <= 1e-8
             assert rec.residual == abs(z_reference(rec.t))
@@ -393,14 +394,16 @@ class TestOneStageRefine:
             finally:
                 in_scan[0] = False
 
+        solve = zeros_module._refined
+
         def fallback(bracket, tol):
             calls["fallback"] += 1
-            return refine_zero(bracket, tol)
+            return solve(bracket, tol)
 
         _instrument(monkeypatch, z_reference, oracle)
         _instrument(monkeypatch, rs_z, fast)
         _instrument(monkeypatch, scan_z_sign_changes, scan)
-        _instrument(monkeypatch, refine_zero, fallback)
+        _instrument(monkeypatch, solve, fallback)
         t_hi = gram_point(110)
         records = find_zeros(10.0, t_hi, workers=1)
         found = dict(calls)
@@ -457,10 +460,13 @@ class TestOffsets:
     def test_offset_at_midpoint_and_endpoint(self):
         g0, g1 = gram_point(3), gram_point(4)
         # offsets are computed inside the pipeline; verify the formula directly
-        from zetasteps.zeros import _record
+        from zetasteps.zeros import ZeroRecord, _placed
 
-        assert _record(0.5 * (g0 + g1)).scaled_offset == pytest.approx(0.0, abs=1e-9)
-        assert abs(_record(g1).scaled_offset) == pytest.approx(1.0, abs=1e-9)
+        def offset(t):
+            return _placed([ZeroRecord(0, t, -1, math.nan)])[0].scaled_offset
+
+        assert offset(0.5 * (g0 + g1)) == pytest.approx(0.0, abs=1e-9)
+        assert abs(offset(g1)) == pytest.approx(1.0, abs=1e-9)
 
     def test_pre_gram_zero_flagged(self):
         zeros = find_zeros(10.0, 20.0)

@@ -219,6 +219,16 @@ def log_table(nmax: int):
     return hi, lo
 
 
+def dd_log_whole(n):
+    """`_dd_log` of an ndarray of whole numbers n >= 1, read off the log
+    table where it already holds every n, the same bits; never grown here."""
+    hi, lo = _log
+    if n.size and n.max() < len(hi):
+        k = n.astype(np.intp)
+        return hi[k], lo[k]
+    return _dd_log(n)
+
+
 def mod_twopi(big, rest):
     """Reduce big + rest into [0, 2*pi), for floats or ndarrays alike, with
     |big + rest| < REDUCTION_LIMIT: q*C1 and q*C2 are exact (Cody-Waite).

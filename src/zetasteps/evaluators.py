@@ -80,6 +80,7 @@ def _em_rows(sigma: float, a: np.ndarray, n: np.ndarray, target: float):
 _LOG_B24 = math.log(abs(_B_OVER_FACT[-1]) / TWOPI**2)
 _LOG_SQRT8_OVER_TWOPI = math.log(math.sqrt(8.0) / TWOPI)
 _TINY = np.finfo(float).tiny
+_U = 2.0**-53  # unit roundoff
 
 
 def _em_cut(sigma: float, a: np.ndarray, target: float) -> np.ndarray:
@@ -105,11 +106,25 @@ def _em_cut(sigma: float, a: np.ndarray, target: float) -> np.ndarray:
     return 32.0 * np.ceil(n / 32.0)
 
 
+def _rounding(sigma: float, a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """A bound on the rounding that _em_rows' estimate leaves out, at s =
+    sigma + i*a cut at n: per unit of term length the phase's 6.7e-15 rad
+    (5.1e-14 past t = 1e8), 8u for power, cos or sin and product, 24u of
+    np.sum in a block (15 serial adds per lane, 3 to merge 8 lanes, 6 pairwise
+    levels), u per block of the running sum; the length is sum k**(-sigma) <=
+    max(1, n**(-sigma)) + its integral over [1, n] plus the tail's
+    n**(1-sigma)/|s - 1|, and a factor 3 covers the complex modulus and the rest."""
+    log_n = np.log(n)
+    grow = log_n if sigma == 1.0 else np.expm1((1.0 - sigma) * log_n) / (1.0 - sigma)
+    size = np.maximum(1.0, n**-sigma) + grow + n ** (1.0 - sigma) / np.hypot(sigma - 1.0, a)
+    return 3.0 * size * (np.where(a <= 1e8, 6.7e-15, 5.1e-14) + (32.0 + np.ceil(n / BLOCK)) * _U)
+
+
 def _reference_rows(sigma: float, a: np.ndarray, target: float):
-    """(values, error estimates, terms used) of zeta(sigma + i*a) at the 1-D
-    array a >= 0: _em_rows at n = _em_cut(sigma, a, target), and at twice
-    the n of each row that still misses the target, up to 8 passes.
-    ToleranceError names the worst row's best error."""
+    """(values, error estimates, cuts n, Bernoulli orders used) of
+    zeta(sigma + i*a) at the 1-D array a >= 0: _em_rows at n = _em_cut(sigma,
+    a, target), and at twice the n of each row that still misses the target,
+    up to 8 passes.  ToleranceError names the worst row's best error."""
     n = _em_cut(sigma, a, target)
     values, errors, used = _em_rows(sigma, a, n, target)
     todo = np.flatnonzero(errors > target)
@@ -127,7 +142,7 @@ def _reference_rows(sigma: float, a: np.ndarray, target: float):
         raise ToleranceError(
             f"eval_reference could not reach {target:g} (best {worst:g})", best_error=worst
         )
-    return values, errors, n.astype(np.intp) + used
+    return values, errors, n, used
 
 
 def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
@@ -141,11 +156,11 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
     on the critical line at 1e-10.  n doubles, up to 8 passes, for each
     entry that still misses target_abs_error (ToleranceError with the worst
     entry's best error).  The contract is 1e-10 for sigma in [0, 3] and
-    |t| <= 1e4; at sigma = -1 the head sum's rounding, which error_estimate
-    leaves out, reaches 1.2e-9 at t = 7968.  n depends on t alone, so a
-    float, a one-entry array, gets a batch row's bits; the values at |t|
-    are conjugated where t < 0.  terms_used counts the n head terms and the
-    Bernoulli orders; error_estimate is the tail bound that met the target.
+    |t| <= 1e4.  n depends on t alone, so a float, a one-entry array, gets
+    a batch row's bits; the values at |t| are conjugated where t < 0.
+    terms_used counts the n head terms and the Bernoulli orders;
+    error_estimate is the tail bound that met the target plus _rounding's,
+    3.2e-7 at (-1, 7968) (the error: 7.6e-10) and 1.8e-11 at (1/2, 1e4).
     """
     if target_abs_error < 1e-12:
         raise DomainError("target_abs_error below the 1e-12 floor")
@@ -154,10 +169,10 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
     t = as_rows(s.t)
     if s.sigma == 1.0 and np.any(t == 0.0):
         raise DomainError("s = 1 is the pole of zeta")
-    values, errors, terms = _reference_rows(s.sigma, np.abs(t), target_abs_error)
+    values, errors, n, used = _reference_rows(s.sigma, np.abs(t), target_abs_error)
     values.imag[t < 0.0] *= -1.0  # conj at |t|
-    return EvalResult(shaped(values, s.t), "reference", shaped(terms, s.t),
-                      error_estimate=shaped(errors, s.t))
+    return EvalResult(shaped(values, s.t), "reference", shaped(n.astype(np.intp) + used, s.t),
+                      error_estimate=shaped(errors + _rounding(s.sigma, np.abs(t), n), s.t))
 
 
 def em_paper_domain(s: Argument) -> None:
@@ -297,12 +312,13 @@ def rs_z(t):
     (-1)**(n_p - 1) u**(-1/4) * sum_k C_k(p) u**(-k/2), u = t/2pi, k = 0..4.
     Worst errors against mpmath.siegelz on 600 seeded t: 3.5e-6 below
     t = 50, 2.4e-7 below 100, 3.5e-8 below 200, 4.5e-9 below 1e3, 6.0e-11
-    below 1e4 and 9.6e-14 up to 1e6.  A float is evaluated as
-    a one-entry array, so it gets the same bits as in a batch: each row's
-    main sum is a running sum read off at n_p, whatever the batch's longest.
+    below 1e4 and 9.6e-14 up to 1e6.  A float is evaluated as a one-entry
+    array, theta aside (rs_theta_mod's float path), with a batch row's bits:
+    each row's main sum is a running sum read off at n_p, whatever the
+    batch's longest.
     """
     ts = as_rows(t)
-    theta = rs_theta_mod(ts)  # first: it refuses t < 2pi before np.sqrt sees one
+    theta = as_rows(rs_theta_mod(shaped(ts, t)))  # first: it refuses t < 2pi before np.sqrt
     r = sqrt_t_over_twopi(ts)
     n_p = np.floor(r).astype(np.intp)
     head = np.empty(ts.size)
@@ -320,7 +336,6 @@ def rs_z(t):
 
 
 _RS_BOUND_T_MIN, _RS_BOUND_T_MAX = 200.0, 1e7  # _rs_bound is +inf outside
-_U = 2.0**-53  # unit roundoff
 # Error of one main-sum term over n**(-1/2), in rad: the phase (6.7e-15,
 # ddmath), theta mod 2pi (4 ulp(2pi) = 3.6e-15, plus the 1.2e-15 of the first
 # dropped theta term at t = 200), theta + phase < 4pi (1.4e-15), cos and the
@@ -379,13 +394,13 @@ def zeta_on_line(t: float) -> complex:
 def z_reference(t):
     """Z(t) = Re(exp(i*theta) * zeta(1/2+it)) through the reference oracle,
     for a float or an ndarray of ordinates t >= 2*pi (an ndarray back for
-    one); a float gets a batch row's bits.
+    one); a float gets a batch row's bits, theta by rs_theta_mod's float path.
 
     The zero search certifies on it, in one batch per pass, the estimates
     that rs_z's bound B(t) leaves open (all below t = 200); refine_zero, its
     fallback, solves on it.
     """
     ts = as_rows(t)
-    theta = rs_theta_mod(ts)  # first: it refuses t < 2pi
+    theta = as_rows(rs_theta_mod(shaped(ts, t)))  # first: it refuses t < 2pi
     value = _reference_rows(0.5, ts, 1e-10)[0]
     return shaped(np.cos(theta) * value.real - np.sin(theta) * value.imag, t)

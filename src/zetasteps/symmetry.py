@@ -21,10 +21,10 @@ from .ddmath import (
     PI8_HI,
     PI8_LO,
     TWOPI,
-    _dd_log,
     dd_add,
     dd_div,
     dd_log,
+    dd_log_whole,
     dd_mul_double,
     mod_twopi,
 )
@@ -83,18 +83,18 @@ def _theta_dd(t):
     array passes).  The one check of the 2*pi floor for every theta reader.
 
     log t = log(ref) + x + (log1p(x) - x), ref = round(t), x = (t - ref)/ref:
-    t - ref is exact (Sterbenz), log(ref) is the dd log of an integer, which
-    the `dd_log` cache serves again for every float t that rounds to ref
-    (dd_log(t) itself would miss the cache on each new t), and the
-    plain-double tail costs at most (t/2)*ulp(x) < 1e-16 rad.  The tail and
-    the small series terms ride in lo words (rounding < 1e-18 rad).
+    t - ref is exact (Sterbenz); log(ref), a whole number's dd log, comes from
+    the `dd_log` cache for a float (dd_log(t) would miss it on each new t) or
+    `dd_log_whole` for an ndarray; the plain-double tail costs at most
+    (t/2)*ulp(x) < 1e-16 rad.  The tail and the small series terms ride in lo
+    words (rounding < 1e-18 rad).
     """
     array = isinstance(t, np.ndarray)
     low = t.min(initial=TWOPI) if array else t
     if low < TWOPI:
         raise DomainError(f"theta_RS needs t >= 2*pi, got {low}")
     ref = np.rint(t) if array else float(round(t))
-    log_ref, cast = (_dd_log(ref), np.asarray) if array else (dd_log(ref), float)
+    log_ref, cast = (dd_log_whole(ref), np.asarray) if array else (dd_log(ref), float)
     xh, xl = dd_div(t - ref, ref)
     h, l = dd_add(*log_ref, -LOG_TWOPI_E_HI, -LOG_TWOPI_E_LO)
     # np.log1p for a float too (math.log1p rounds apart): the array's bits

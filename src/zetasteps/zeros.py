@@ -55,7 +55,7 @@ def gram_point(N):
     ndarray of them, each entry on its own: seed 2pi*u from Newton on
     u*(log u - 1) = N + 1/8 (theta's main term), then Newton on the array
     rs_theta until |theta_RS(t) - N*pi| <= max(1e-10, 4 ulp(N*pi)) (above
-    N*pi = 2**19 the rounding of theta exceeds 1e-10)."""
+    N*pi = 2**19 the rounding of theta exceeds 1e-10); an int takes theta's float path."""
     n = as_rows(N)
     if np.min(n, initial=0.0) < 0:
         raise DomainError(f"Gram index must be >= 0, got {np.min(n):.0f}")
@@ -71,7 +71,7 @@ def gram_point(N):
     tol = np.maximum(1e-10, 4.0 * np.spacing(target))
     t, open_ = TWOPI * u, np.ones(n.shape, dtype=bool)
     for _ in range(50):
-        resid = rs_theta(t) - target
+        resid = as_rows(rs_theta(shaped(t, N))) - target
         open_ &= np.abs(resid) > tol
         if not open_.any():
             return shaped(t, N)

@@ -1,5 +1,8 @@
 """Shared fixtures."""
 
+import collections
+import sys
+
 import numpy as np
 import pytest
 
@@ -61,3 +64,28 @@ def phase_recorder(monkeypatch):
     for module in (steps, evaluators, export):
         monkeypatch.setattr(module, "phase_blocks", recorder)
     yield shapes
+
+
+@pytest.fixture
+def ddmath_calls():
+    """Count the Python-level calls into zetasteps/ddmath.py, by function
+    name, that `record(fn)` sees while fn runs (sys.setprofile), after one
+    warm-up call of fn, so the `dd_log` cache and the log table are warm.
+    Yields record, which returns the counts as a collections.Counter."""
+    def record(fn):
+        fn()
+        seen = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == ddmath.__file__:
+                seen[frame.f_code.co_name] += 1
+
+        old = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            fn()
+        finally:
+            sys.setprofile(old)
+        return seen
+
+    yield record

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetasteps import ddmath
-from zetasteps.ddmath import dd_log, log_table
+from zetasteps import ddmath, gram_point, rs_z, z_reference
+from zetasteps.ddmath import TWOPI, dd_log, log_table
 from zetasteps.steps import reduced_phase
+from zetasteps.symmetry import _theta_dd
 
 TABLE_N = 500_000
 
@@ -246,3 +247,67 @@ def test_mod_twopi_scalar_matches_array_near_multiples():
         exact = [mpmath.mpf(h) + mpmath.mpf(l) for h, l in zip(ph[-400:], pl[-400:])]
         worst = max(angle_error(e, r) for e, r in zip(exact, arr[-400:]))
     assert worst <= 2e-15  # two ulps of 2*pi
+
+
+def test_dd_log_whole_reads_a_covering_table(fresh_table):
+    # a batch the table covers reads it: the kernel's bits, and no growth
+    log_table(5000)
+    table = ddmath._log
+    n = np.array([2.0, 3.0, 1023.0, 4096.0, 5119.0, 17.0, 17.0])
+    hi, lo = ddmath.dd_log_whole(n)
+    want_hi, want_lo = ddmath._dd_log(n)
+    assert np.array_equal(hi, want_hi) and np.array_equal(lo, want_lo)
+    assert ddmath._log is table
+    nd = n[:6].reshape(2, 3)
+    assert [x.shape for x in ddmath.dd_log_whole(nd)] == [(2, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("n", [
+    [1000.0, 1023.0, 1024.0],  # straddles the table's end
+    [1024.0, 70_000.0],  # past it
+    [],
+])
+def test_dd_log_whole_takes_the_kernel_past_the_table(fresh_table, monkeypatch, n):
+    log_table(1000)
+    table, calls, kernel = ddmath._log, [], ddmath._dd_log
+
+    def counting(x):
+        calls.append(x.size)
+        return kernel(x)
+
+    monkeypatch.setattr(ddmath, "_dd_log", counting)
+    hi, lo = ddmath.dd_log_whole(np.array(n))
+    want_hi, want_lo = kernel(np.array(n))
+    assert np.array_equal(hi, want_hi) and np.array_equal(lo, want_lo)
+    assert calls == [len(n)]
+    assert ddmath._log is table and len(table[0]) == 1024
+
+
+def test_theta_of_a_covered_batch_is_its_float_calls(fresh_table):
+    log_table(1000)
+    ts = np.concatenate([[TWOPI, 1022.5], np.random.default_rng(20261027).uniform(TWOPI, 1022.0, 500)])
+    table = ddmath._log
+    assert np.array_equal(np.array([_theta_dd(float(t)) for t in ts]).T, _theta_dd(ts))
+    assert ddmath._log is table
+
+
+# ddmath calls of one warm call, as counted at the change that made theta
+# read the cached dd_log or the table (the kernel path took 74, 74, 136, 74)
+THETA_CALL_BUDGETS = {
+    "rs_z": (lambda: rs_z(1000.3), 26),
+    "z_reference": (lambda: z_reference(1000.3), 26),
+    "gram_point": (lambda: gram_point(1000), 40),
+    "rs_z_batch": (lambda: rs_z(np.random.default_rng(20261027).uniform(100.0, 240.0, 100)), 26),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THETA_CALL_BUDGETS))
+def test_theta_runs_no_log_kernel_on_a_float_or_a_covered_batch(fresh_table, ddmath_calls, name):
+    # one float reads the cached dd_log of round(t), and a batch below the
+    # table's 1024 entries reads the table: neither runs _log_parts
+    call, budget = THETA_CALL_BUDGETS[name]
+    log_table(1000)
+    seen = ddmath_calls(call)
+    assert seen["_log_parts"] == 0, seen
+    assert sum(seen.values()) <= budget, seen
+    assert len(ddmath._log[0]) == 1024

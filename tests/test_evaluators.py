@@ -72,15 +72,30 @@ class TestReference:
         assert eval_reference(s.conjugate()).value == eval_reference(s).value.conjugate()
 
     def test_error_estimate_within_target(self):
+        # the tail estimate meets the target; error_estimate adds the
+        # rounding bound on top, which at sigma < 0 may pass the target
         rng = np.random.default_rng(20261018)
         for _ in range(24):
             sigma = float(rng.uniform(-1.0, 3.0))
             t = float(rng.uniform(-2000.0, 2000.0))
             target = float(10.0 ** rng.uniform(-10.0, -6.0))
             res = eval_reference(Argument(sigma, t), target)
-            assert 0.0 < res.error_estimate <= target
+            tail = evaluators._reference_rows(sigma, np.array([abs(t)]), target)[1][0]
+            assert 0.0 < tail <= target
+            assert tail < res.error_estimate
             mirror = eval_reference(Argument(sigma, -t), target)
             assert mirror.error_estimate == res.error_estimate
+
+    # (-1, 7967.9) erred by 7.6e-10 under a tail-only estimate of 2.2e-11
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, 0.5, 2.0])
+    def test_error_estimate_bounds_the_error(self, sigma):
+        rng = np.random.default_rng([20261027, int(sigma * 2.0) + 2])
+        t = np.exp(rng.uniform(0.0, math.log(1e4), 3))
+        if sigma == -1.0:
+            t = np.append(t, 7967.9)
+        res = eval_reference(Argument(sigma, t))
+        err = np.abs(res.value - [mp_zeta(sigma, x) for x in t])
+        assert np.all(err <= res.error_estimate), (t, err, res.error_estimate)
 
     def test_unmet_target_reports_best_error(self, monkeypatch):
         calls = []
@@ -179,8 +194,9 @@ class TestCut:
         em_rows = evaluators._em_rows
 
         def seen(sigma, a, n, target):
-            calls.append((a.tolist(), n.tolist()))
-            return em_rows(sigma, a, n, target)
+            out = em_rows(sigma, a, n, target)
+            calls.append((a.tolist(), n.tolist(), out[1]))
+            return out
 
         monkeypatch.setattr(evaluators, "_em_rows", seen)
         rng = np.random.default_rng(20261020)
@@ -192,11 +208,13 @@ class TestCut:
             calls.clear()
             res = eval_reference(Argument(sigma, t), target)
             assert len(calls) == 1
-            for a, n in zip(*calls[0]):
+            rows, cuts, tails = calls[0]
+            for a, n in zip(rows, cuts):
                 assert n >= 32 and n % 32 == 0
                 assert all(_cut_rules(sigma, a, n, target)), (sigma, a, n, target)
                 assert n == 32 or not all(_cut_rules(sigma, a, n - 32, target)), (sigma, a, n, target)
-            assert np.all(res.error_estimate <= target / 4.0)
+            # the tail estimate; error_estimate adds the rounding bound
+            assert np.all(tails <= target / 4.0) and np.all(tails < res.error_estimate)
         # s = -1 and s = 0 zero a factor of the estimate: n = 32, no warning
         assert abs(eval_reference(Argument(-1.0, 0.0)).value + 1.0 / 12.0) < 1e-12
         assert abs(eval_reference(Argument(0.0, 0.0)).value + 0.5) < 1e-12

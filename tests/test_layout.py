@@ -91,6 +91,15 @@ def test_log_table_named_only_by_ddmath_and_steps():
     assert users == ["ddmath.py", "steps.py"]
 
 
+def test_log_kernel_named_only_by_ddmath():
+    # Theta reads the dd log of round(t) through ddmath.dd_log (one float)
+    # or ddmath.dd_log_whole (an ndarray, from the table where it covers
+    # it), never through the kernel itself.
+    files = sorted(SRC.glob("*.py"))
+    users = [f.name for f in files if "_dd_log" in code_names(f)]
+    assert users == ["ddmath.py"]
+
+
 def test_theta_helpers_named_only_by_symmetry():
     # One theta-mod reader: every other module reads theta through the
     # public rs_theta, rs_theta_mod or big_q, not a private helper.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -114,16 +114,6 @@ def gram_indices(t_lo: float, t_hi: float) -> range:
                  int(k[1, 0] + np.searchsorted(g[1], t_hi, side="right")))
 
 
-class _Brackets(list):
-    """The scan's (lo, hi) brackets from rows 0 and 1 of ends, carrying z at
-    them (`values`, rows 2 and 3) and the scan's Gram window (`grams`), which
-    find_zeros reads in place of a second z call and a second Gram solve."""
-
-    def __init__(self, ends: np.ndarray, grams: Optional[Tuple[int, np.ndarray]]):
-        super().__init__(zip(*ends[:2].tolist()))
-        self.values, self.grams = ends[2:], grams
-
-
 def scan_z_sign_changes(
     t_lo: float,
     t_hi: float,
@@ -138,15 +128,21 @@ def scan_z_sign_changes(
     block of k Gram intervals should hold k sign changes (Rosser, Yohe &
     Schoenfeld 1968).  Short blocks halve their steps up to _ROSSER_LEVELS
     times, one call of z per level, and each block keeps the brackets of
-    the first level that meets its count, else of the last.  The list also
-    carries z at the bracket ends and the Gram window (_Brackets).  A range of
+    the first level that meets its count, else of the last.  A range of
     more than SCAN_GUARD Gram intervals raises ResourceGuardError before
     any Gram point is computed.
     """
     if t_lo < TWOPI:
         raise DomainError(f"scan needs t_lo >= 2*pi, got {t_lo}")
+    return list(zip(*_scan(t_lo, t_hi, z)[0].tolist()))
+
+
+def _scan(t_lo: float, t_hi: float, z: Callable[[np.ndarray], np.ndarray]):
+    """scan_z_sign_changes' brackets as (x, f, grams): their ends x, sorted
+    by x[0], and z at them f, each of shape (2, brackets), and the scan's
+    Gram window (n0, g), None for an empty range."""
     if t_hi <= t_lo:
-        return _Brackets(np.empty((4, 0)), None)
+        return np.empty((2, 0)), np.empty((2, 0)), None
     n0, g = grams = _gram_window(t_lo, t_hi)
     a, b = np.searchsorted(g, t_lo), np.searchsorted(g, t_hi, side="right")
     sign = {t_lo: 0 if n0 + a else -1, t_hi: 0}  # below g_0, t_lo is g_{-1}
@@ -179,7 +175,8 @@ def scan_z_sign_changes(
             break
     ends = np.array([np.concatenate(part) for part in zip(*found)])
     ends = ends[:, (t_lo <= ends[0]) & (ends[1] <= t_hi)]
-    return _Brackets(ends[:, np.argsort(ends[0])], grams)
+    ends = ends[:, np.argsort(ends[0])]
+    return ends[:2], ends[2:], grams
 
 
 def refine_zero(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
@@ -190,11 +187,12 @@ def refine_zero(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
     final-bracket endpoint with the smaller |Z|, which lies within tol of
     the zero, and that |Z| as its residual.
     """
-    return _placed([_refined(bracket, tol)])[0]
+    t, residual = _refined(bracket, tol)
+    return _placed(np.array([t]), np.array([residual]), ["oracle"])[0]
 
 
-def _refined(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
-    """refine_zero's record, its Gram fields left for _placed."""
+def _refined(bracket: Tuple[float, float], tol: float) -> Tuple[float, float]:
+    """refine_zero's (t, residual), unplaced."""
     if tol < _TOL_FLOOR:
         raise DomainError(f"tol must be >= {_TOL_FLOOR:g}")
     lo, hi = bracket
@@ -202,8 +200,9 @@ def _refined(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
         raise DomainError("bracket endpoints out of order")
     x, f = _illinois(z_reference, [lo, hi], z_reference(np.array([lo, hi])), tol)
     if hi - lo <= tol:
-        return ZeroRecord(0, 0.5 * (lo + hi), -1, math.nan)
-    return _nearer(x[:, 0].tolist(), f[:, 0].tolist())
+        return 0.5 * (lo + hi), math.nan
+    t, residual = _nearer(x, f)
+    return t[0], residual[0]
 
 
 def _illinois(z, x, f, tol):
@@ -238,60 +237,63 @@ def _illinois(z, x, f, tol):
     return x, f
 
 
-def _placed(records: Sequence[ZeroRecord], grams=None, first: int = 0) -> List[ZeroRecord]:
-    """The records, numbered from `first`, each with its Gram index n, g_n <=
-    t < g_{n+1} (-1 below g_0), and scaled offset (t - mid)/(half width) in
-    that interval (NaN below g_0), by np.searchsorted on the Gram window
-    grams (n0, g), or on one solved over the records if it misses one."""
-    if not records:
+def _placed(t: np.ndarray, residual: np.ndarray, certificate: Sequence[str],
+            grams=None, first: int = 0) -> List[ZeroRecord]:
+    """The records at t, numbered from `first`, each with its Gram index n,
+    g_n <= t < g_{n+1} (-1 below g_0), and scaled offset (t - mid)/(half
+    width) in that interval (NaN below g_0), by np.searchsorted on the Gram
+    window grams (n0, g), or on one solved over t if it misses one."""
+    if not t.size:
         return []
-    t = np.array([r.t for r in records])
     n0, g = grams or (0, None)
     if g is None or (n0 and t.min() < g[0]) or t.max() >= g[-1]:
         n0, g = _gram_window(t.min(), t.max())
     k = np.searchsorted(g, t, side="right")  # g[k - 1] <= t < g[k]
     g0, g1 = g[k - 1], g[k]  # k = 0, below g_0, reads g[-1]: no offset there
     offset = (t - 0.5 * (g0 + g1)) / (0.5 * (g1 - g0))
-    return [ZeroRecord(first + i, r.t, n, o if n >= 0 else math.nan, r.residual, r.certificate)
-            for i, (r, n, o) in enumerate(zip(records, (n0 + k - 1).tolist(), offset.tolist()))]
+    # NaN as math.nan itself, which alone equals itself in a record's ==
+    fields = zip(t.tolist(), (n0 + k - 1).tolist(), offset.tolist(), residual.tolist(), certificate)
+    return [ZeroRecord(first + i, x, n, o if n >= 0 else math.nan, r if r == r else math.nan, c)
+            for i, (x, n, o, r, c) in enumerate(fields)]
 
 
-def _nearer(x, f, certificate: str = "oracle") -> ZeroRecord:
-    """The record at the bracket end x[k] with the smaller |f[k]|, and that
-    |f[k]|, its Gram fields left for _placed."""
-    k = 0 if abs(f[0]) <= abs(f[1]) else 1
-    return ZeroRecord(0, x[k], -1, math.nan, abs(f[k]), certificate)
+def _nearer(x: np.ndarray, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(t, residual) of every bracket [x[0][i], x[1][i]]: the end with the
+    smaller |f|, the lower one on a tie, and that |f|."""
+    f = np.abs(f)
+    upper = f[1] < f[0]
+    return np.where(upper, x[1], x[0]), np.where(upper, f[1], f[0])
 
 
-def _certify(est: np.ndarray, brackets: List[Tuple[float, float]],
-             tol: float) -> List[ZeroRecord]:
-    """The records of the zeros near the rs_z estimates est, in lockstep: an
+def _certify(est: np.ndarray, brackets: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(t, residual) of the zeros near the rs_z estimates est, in lockstep: an
     oracle sign change across [c - tol/2, c + tol/2], one oracle call for
     every c.  Where both values share a sign, one secant step on them moves
     c and a second call checks those rows.  Rows with two equal values, and
-    rows that fail twice, widen both ends of their scan bracket by h = 0,
-    1e-4, 2e-4, ... up to 1 until the oracle changes sign, and refine_zero's
-    solve runs there."""
-    records: List[Optional[ZeroRecord]] = [None] * len(brackets)
-    todo, c = np.arange(len(brackets)), est
+    rows that fail twice, widen both ends of their scan bracket, their
+    column of brackets, by h = 0, 1e-4, 2e-4, ... up to 1 until the oracle
+    changes sign, and refine_zero's solve runs there."""
+    t, residual = np.full((2, len(est)), math.nan)
+    todo, c = np.arange(len(est)), est
     for _ in range(2):
         if not todo.size:
             break
         ends = c + np.array([[-0.5], [0.5]]) * tol
         f = z_reference(ends)
         ok = f[0] * f[1] <= 0.0
-        for i, e, v in zip(todo[ok].tolist(), ends[:, ok].T.tolist(), f[:, ok].T.tolist()):
-            records[i] = _nearer(e, v)
+        t[todo[ok]], residual[todo[ok]] = _nearer(ends[:, ok], f[:, ok])
         step = ~ok & (f[0] != f[1])
         (a, b), (f_a, f_b) = ends[:, step], f[:, step]
         todo, c = todo[step], b - f_b * (b - a) / (f_b - f_a)
-    return [rec or _widened(bracket, tol) for rec, bracket in zip(records, brackets)]
+    for i in np.flatnonzero(np.isnan(t)).tolist():
+        t[i], residual[i] = _widened(brackets[:, i].tolist(), tol)
+    return t, residual
 
 
-def _widened(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
-    """refine_zero's unplaced record on the scan bracket widened by the
-    first h = 0, 1e-4, 2e-4, ... up to 1 at which the oracle changes sign
-    across it; find_zeros places it on the scan's Gram window."""
+def _widened(bracket: Sequence[float], tol: float) -> Tuple[float, float]:
+    """refine_zero's unplaced (t, residual) on the scan bracket widened by
+    the first h = 0, 1e-4, 2e-4, ... up to 1 at which the oracle changes
+    sign across it; find_zeros places it on the scan's Gram window."""
     for h in [0.0] + [1e-4 * 2.0**k for k in range(14)]:
         lo, hi = bracket[0] - h, bracket[1] + h
         if z_reference(lo) * z_reference(hi) <= 0.0:
@@ -325,23 +327,20 @@ def find_zeros(
     # All scan brackets solve on rs_z in lockstep.  Each estimate, the rs_z
     # root interpolated in its final bracket, is certified where rs_z
     # changes sign across c -+ tol/2 by more than its bound, else on the oracle.
-    brackets = scan_z_sign_changes(t_lo, t_hi)
-    x = np.array(brackets).reshape(-1, 2).T
-    (lo, hi), (f_lo, f_hi) = _illinois(rs_z, x, brackets.values, tol)
+    x, f, grams = _scan(t_lo, t_hi, rs_z)
+    (lo, hi), (f_lo, f_hi) = _illinois(rs_z, x, f, tol)
     est = lo - f_lo * (hi - lo) / np.where(f_hi == f_lo, 1.0, f_hi - f_lo)
     ends = est + np.array([[-0.5], [0.5]]) * tol
     f = rs_z(ends)
     sure = (f[0] * f[1] < 0.0) & np.all(np.abs(f) > _rs_bound(ends), axis=0)
-    oracle = iter(_certify(est[~sure], [b for b, ok in zip(brackets, sure) if not ok], tol))
-    refined = [
-        _nearer(e, v, "rs_bound") if ok else next(oracle)
-        for e, v, ok in zip(ends.T.tolist(), f.T.tolist(), sure)
-    ]
-    records: List[ZeroRecord] = []
-    for rec in sorted(refined, key=lambda r: r.t):
-        if not records or rec.t - records[-1].t > 10.0 * tol:
-            records.append(rec)
-    return _placed(records, brackets.grams, offset + 1)
+    t, residual = _nearer(ends, f)
+    t[~sure], residual[~sure] = _certify(est[~sure], x[:, ~sure], tol)
+    keep: List[int] = []
+    for i in np.argsort(t, kind="stable").tolist():  # each more than 10 tol past the last kept
+        if not keep or t[i] - t[keep[-1]] > 10.0 * tol:
+            keep.append(i)
+    certificate = np.where(sure[keep], "rs_bound", "oracle").tolist()
+    return _placed(t[keep], residual[keep], certificate, grams, offset + 1)
 
 
 def gram_offsets(zeros: Sequence[ZeroRecord]) -> List[float]:

@@ -204,6 +204,21 @@ def test_two_pi_floor_checked_by_its_readers():
     assert sorted(checkers) == ["_theta_dd", "frame_of", "scan_z_sign_changes"]
 
 
+def test_no_class_subclasses_a_builtin_container():
+    # A container subclass can carry hidden attributes on a public return
+    # value, as the scan's brackets once carried z at their ends and the
+    # Gram window; results are plain containers or named records.
+    banned = {"list", "dict", "set", "tuple"}
+    subclasses = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id in banned for base in node.bases)
+    ]
+    assert subclasses == []
+
+
 def test_symmetric_form_reflects_once_per_grid():
     # Each symmetric-form grid takes its values at |t| and negates the
     # imaginary part where t < 0; the point functions reflect through the

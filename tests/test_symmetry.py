@@ -17,14 +17,18 @@ from zetasteps import (
     conj_region,
     conj_sum_direct,
     conj_sum_predicted,
+    find_zeros,
     frame_of,
+    gram_point,
     jacobi_g,
     partial_sum,
     pendant_offset,
     reduced_phase,
+    refine_zero,
     rs_theta,
     rs_theta_mod,
     rs_z,
+    scan_z_sign_changes,
     z_reference,
     zeta_on_line,
 )
@@ -115,6 +119,31 @@ class TestTheta:
             theta_of_array(5.0)
         assert rs_theta(TWOPI) < 0.0 and 0.0 <= rs_theta_mod(TWOPI) < TWOPI
         assert rs_theta(np.array([])).shape == rs_theta_mod(np.array([])).shape == (0,)
+
+
+NAN_CALLS = {
+    "rs_theta": (rs_theta, math.nan),
+    "rs_z": (rs_z, math.nan),
+    "z_reference": (z_reference, math.nan),
+    "frame_of": (frame_of, math.nan),
+    "find_zeros": (find_zeros, 10.0, math.nan),
+    "scan_z_sign_changes": (scan_z_sign_changes, math.nan, 20.0),
+    "rs_theta_array": (rs_theta, np.array([100.0, math.nan])),
+    "rs_z_array": (rs_z, np.array([math.nan])),
+    "gram_point_array": (gram_point, np.array([math.nan])),
+    "refine_zero": (refine_zero, (math.nan, 14.3), 1e-8),
+    "frame_of_array": (frame_of, np.array([math.nan])),
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_CALLS))
+def test_nan_refused_at_the_two_pi_floor(name):
+    # nan < 2pi is false, so the two floor checks, _theta_dd's and
+    # frame_of's, test for NaN too: a DomainError, not a failed round() or
+    # table index further in
+    fn, *args = NAN_CALLS[name]
+    with pytest.raises(DomainError, match=r"needs t >= 2\*pi, got nan$"):
+        fn(*args)
 
 
 def mp_theta_series(t):

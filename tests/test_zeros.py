@@ -1,5 +1,6 @@
 """Gram points, sign-change scanning, refinement, offset statistics."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -275,6 +276,19 @@ class TestPipeline:
         assert main(argv + ["4"]) == 0
         assert capsys.readouterr().out == want_rows
 
+    def test_results_hold_python_values(self):
+        # no numpy value leaks into a result: the scan gives a plain list of
+        # float pairs, and every record field is a Python int, float or str,
+        # with math.nan itself as the offset below g_0 (NaN equals itself
+        # only by identity, and == on two searches relies on it)
+        brackets = scan_z_sign_changes(10.0, 2000.0)
+        assert type(brackets) is list and brackets
+        assert {tuple(map(type, b)) for b in brackets} == {(float, float)}
+        records = find_zeros(10.0, 80.0)
+        kinds = {tuple(type(getattr(r, f.name)) for f in dataclasses.fields(r)) for r in records}
+        assert kinds == {(int, float, int, float, float, str)}
+        assert records[0].gram_index == -1 and records[0].scaled_offset is math.nan
+
     def test_restarted_scan_ordinals(self):
         # scanning a later window yields globally consistent ordinals
         tail = find_zeros(40.0, 60.0)
@@ -323,15 +337,16 @@ class TestOneGramSolve:
         def scan(*args, **kwargs):
             in_scan[0] = True
             try:
-                found = scan_z_sign_changes(*args, **kwargs)
+                found = scan_core(*args, **kwargs)
             finally:
                 in_scan[0] = False
-            brackets.extend(found)
+            brackets.extend(found[0].T.tolist())
             return found
 
+        scan_core = zeros_module._scan
         _instrument(monkeypatch, gram_point, counted)
         _instrument(monkeypatch, rs_z, fast)
-        _instrument(monkeypatch, scan_z_sign_changes, scan)
+        _instrument(monkeypatch, scan_core, scan)
         records = find_zeros(10.0, t_hi)
         assert len(records) == 1003 and len(brackets) >= 1003
         assert len(solves) == 1
@@ -390,11 +405,11 @@ class TestOneStageRefine:
         def scan(*args, **kwargs):
             in_scan[0] = True
             try:
-                return scan_z_sign_changes(*args, **kwargs)
+                return scan_core(*args, **kwargs)
             finally:
                 in_scan[0] = False
 
-        solve = zeros_module._refined
+        scan_core, solve = zeros_module._scan, zeros_module._refined
 
         def fallback(bracket, tol):
             calls["fallback"] += 1
@@ -402,7 +417,7 @@ class TestOneStageRefine:
 
         _instrument(monkeypatch, z_reference, oracle)
         _instrument(monkeypatch, rs_z, fast)
-        _instrument(monkeypatch, scan_z_sign_changes, scan)
+        _instrument(monkeypatch, scan_core, scan)
         _instrument(monkeypatch, solve, fallback)
         t_hi = gram_point(110)
         records = find_zeros(10.0, t_hi, workers=1)
@@ -460,10 +475,10 @@ class TestOffsets:
     def test_offset_at_midpoint_and_endpoint(self):
         g0, g1 = gram_point(3), gram_point(4)
         # offsets are computed inside the pipeline; verify the formula directly
-        from zetasteps.zeros import ZeroRecord, _placed
+        from zetasteps.zeros import _placed
 
         def offset(t):
-            return _placed([ZeroRecord(0, t, -1, math.nan)])[0].scaled_offset
+            return _placed(np.array([t]), np.array([math.nan]), ["oracle"])[0].scaled_offset
 
         assert offset(0.5 * (g0 + g1)) == pytest.approx(0.0, abs=1e-9)
         assert abs(offset(g1)) == pytest.approx(1.0, abs=1e-9)

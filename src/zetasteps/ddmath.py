@@ -13,8 +13,10 @@ does not expose).
 
 Every dd logarithm comes from one table-driven kernel, `_log_parts`,
 which serves the scalar `dd_log` and the integer log table alike; the
-table runs it once per odd core m for all of m*2^i.  The dd constants are
-float literals rounded from 50-digit mpmath values.
+table runs it once per odd core m for all of m*2^i.  Whole numbers past
+the table (theta's round(t) at large t) are kept in a small memo, so a
+zero search runs the kernel on each integer once, not once per pass.  The
+dd constants are float literals rounded from 50-digit mpmath values.
 """
 
 from __future__ import annotations
@@ -219,14 +221,33 @@ def log_table(nmax: int):
     return hi, lo
 
 
+# Memo of whole numbers past the log table: rows (n, hi, lo), n in slot
+# n mod _LOG_STEP, 0 in an empty slot (n >= 1 never matches it).  A miss
+# publishes a new array as one object, like `_log`: a 24 KiB copy, where
+# BLOCK slots would copy and keep 192 KiB.
+_whole = np.zeros((3, _LOG_STEP))
+
+
 def dd_log_whole(n):
-    """`_dd_log` of an ndarray of whole numbers n >= 1, read off the log
-    table where it already holds every n, the same bits; never grown here."""
+    """`_dd_log` of an ndarray of whole numbers n >= 1, the same bits: read
+    off the log table where it already holds every n (never grown here),
+    else off the memo `_whole`.  A batch with any n the memo lacks runs the
+    kernel once, on the whole batch, and each n takes its slot, in place of
+    the n there before."""
+    global _whole
     hi, lo = _log
     if n.size and n.max() < len(hi):
         k = n.astype(np.intp)
         return hi[k], lo[k]
-    return _dd_log(n)
+    memo = _whole
+    slot = (n % _LOG_STEP).astype(np.intp)
+    keys, hi, lo = memo[:, slot]
+    if n[keys != n].size:  # not .any(): its code is 64 KiB more RSS in the figure commands
+        hi, lo = _dd_log(n)
+        memo = memo.copy()
+        memo[:, slot] = n, hi, lo
+        _whole = memo
+    return hi, lo
 
 
 def mod_twopi(big, rest):

@@ -281,13 +281,15 @@ _GABCKE_W = np.array([c + (0.0,) * (24 - len(c)) for c in _GABCKE]).T
 def _gabcke(z, v):
     """sum_k C_k(p) v**k, k = 0..4, at z = p - 1/2 (floats or ndarrays);
     one Horner pass in w = z*z serves all five C_k, and v = 0 gives C0."""
-    w = np.expand_dims(z * z, -1)
-    acc = _GABCKE_W[-1]
-    for row in _GABCKE_W[-2::-1]:
-        acc = acc * w + row
-    k = np.arange(5)
-    c = np.where(k % 2 == 1, acc * np.expand_dims(z, -1), acc)
-    return (c * np.expand_dims(v, -1) ** k).sum(-1)
+    z = np.asarray(z)[..., None]
+    w = z * z
+    acc = w * _GABCKE_W[-1]
+    for row in _GABCKE_W[-2:0:-1]:
+        acc += row
+        acc *= w
+    acc += _GABCKE_W[0]
+    acc[..., 1::2] *= z  # C1 and C3 are odd in z
+    return (acc * np.asarray(v)[..., None] ** np.arange(5)).sum(-1)
 
 
 def _remainder_c(p: float) -> float:

@@ -86,7 +86,8 @@ def _theta_dd(t):
     log t = log(ref) + x + (log1p(x) - x), ref = round(t), x = (t - ref)/ref:
     t - ref is exact (Sterbenz); log(ref), a whole number's dd log, comes from
     the `dd_log` cache for a float (dd_log(t) would miss it on each new t) or
-    `dd_log_whole` for an ndarray; the plain-double tail costs at most
+    `dd_log_whole` for an ndarray (the log table, else its memo of whole
+    numbers past the table, the same bits); the plain-double tail costs at most
     (t/2)*ulp(x) < 1e-16 rad.  The tail and the small series terms ride in lo
     words (rounding < 1e-18 rad).
     """

@@ -101,6 +101,7 @@ def test_dd_log_domain(x):
 @pytest.fixture
 def fresh_table(monkeypatch):
     monkeypatch.setattr(ddmath, "_log", (np.zeros(2), np.zeros(2)))
+    monkeypatch.setattr(ddmath, "_whole", np.zeros((3, ddmath._LOG_STEP)))
 
 
 def table_sample():
@@ -279,8 +280,109 @@ def test_dd_log_whole_takes_the_kernel_past_the_table(fresh_table, monkeypatch, 
     hi, lo = ddmath.dd_log_whole(np.array(n))
     want_hi, want_lo = kernel(np.array(n))
     assert np.array_equal(hi, want_hi) and np.array_equal(lo, want_lo)
-    assert calls == [len(n)]
+    assert calls == ([len(n)] if n else [])  # an empty batch has nothing to miss
     assert ddmath._log is table and len(table[0]) == 1024
+    # the same batch again reads the memo: no kernel
+    again = ddmath.dd_log_whole(np.array(n))
+    assert np.array_equal(again[0], want_hi) and np.array_equal(again[1], want_lo)
+    assert len(calls) == bool(n)
+
+
+def dd_log_whole_counting(monkeypatch):
+    """Route dd_log_whole's kernel through a counter; returns the list of
+    batch sizes it ran on and the kernel itself."""
+    calls, kernel = [], ddmath._dd_log
+
+    def counting(x):
+        calls.append(x.size)
+        return kernel(x)
+
+    monkeypatch.setattr(ddmath, "_dd_log", counting)
+    return calls, kernel
+
+
+def assert_memo_is_the_kernel(kernel=ddmath._dd_log):
+    """Every filled slot of the memo holds its own n, with the kernel's bits."""
+    keys, hi, lo = ddmath._whole
+    full = np.flatnonzero(keys)
+    assert np.array_equal(keys[full] % ddmath._LOG_STEP, full)
+    want_hi, want_lo = kernel(keys[full])
+    assert np.array_equal(hi[full], want_hi) and np.array_equal(lo[full], want_lo)
+
+
+def test_dd_log_whole_runs_the_kernel_only_on_a_miss(fresh_table, monkeypatch):
+    log_table(1000)
+    calls, kernel = dd_log_whole_counting(monkeypatch)
+    first = np.array([[100_003.0, 99_999.0], [100_003.0, 100_003.0]])
+    hi, lo = ddmath.dd_log_whole(first)
+    assert calls == [4] and hi.shape == lo.shape == (2, 2)
+    # a converging bracket: one new integer beside ones seen before
+    n = np.array([99_999.0, 100_000.0, 100_003.0, 99_999.0])
+    hi, lo = ddmath.dd_log_whole(n)
+    want_hi, want_lo = kernel(n)
+    assert calls == [4, 4]
+    assert np.array_equal(hi, want_hi) and np.array_equal(lo, want_lo)
+    for k in range(3):  # repeats of any of them, past the table
+        hi, lo = ddmath.dd_log_whole(n[k:])
+        assert np.array_equal(hi, want_hi[k:]) and np.array_equal(lo, want_lo[k:])
+    assert calls == [4, 4]
+    assert_memo_is_the_kernel(kernel)
+
+
+STEP = ddmath._LOG_STEP
+
+
+@pytest.mark.parametrize("batches, misses", [
+    ([np.arange(1e6, 1e6 + B + 1)], [B + 1]),  # more distinct misses than BLOCK
+    # n and n + k*_LOG_STEP share a slot, in one batch and across calls
+    ([np.array([2e5, 2e5 + STEP, 2e5 + 3 * STEP, 2e5, 2e5 + STEP])], [5]),
+    ([np.array([2e5]), np.array([2e5 + STEP, 7e5]), np.array([2e5, 7e5])], [1, 2, 2]),
+])
+def test_dd_log_whole_past_the_memo_size(fresh_table, monkeypatch, batches, misses):
+    # each batch gets the kernel's bits, and each slot keeps one n
+    log_table(1000)
+    rng = np.random.default_rng(20261020)
+    calls, kernel = dd_log_whole_counting(monkeypatch)
+    for n in batches:
+        n = rng.permutation(n)
+        hi, lo = ddmath.dd_log_whole(n)
+        want_hi, want_lo = kernel(n)
+        assert np.array_equal(hi, want_hi) and np.array_equal(lo, want_lo)
+        assert_memo_is_the_kernel(kernel)
+    assert calls == misses
+
+
+def test_dd_log_whole_from_threads(fresh_table):
+    # threads share the memo: however their updates interleave, and
+    # whichever of them is lost, every result has the kernel's bits
+    log_table(1000)
+    rng = np.random.default_rng(20261020)
+    batches = [np.rint(rng.uniform(1e5, 1e5 + 3000, size)) for size in (2, 5, 300, 2, 40, B, 7, 1)]
+    batches += batches[::-1]
+    errors = []
+
+    def look_up(n):
+        try:
+            for _ in range(5):
+                hi, lo = ddmath.dd_log_whole(n)
+                want_hi, want_lo = ddmath._dd_log(n)
+                assert np.array_equal(hi, want_hi) and np.array_equal(lo, want_lo)
+        except Exception as exc:  # recorded for the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=look_up, args=(n,)) for n in batches]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert_memo_is_the_kernel()
 
 
 def test_theta_of_a_covered_batch_is_its_float_calls(fresh_table):
@@ -292,19 +394,24 @@ def test_theta_of_a_covered_batch_is_its_float_calls(fresh_table):
 
 
 # ddmath calls of one warm call, as counted at the change that made theta
-# read the cached dd_log or the table (the kernel path took 74, 74, 136, 74)
+# read the cached dd_log or the table (the kernel path took 74, 74, 136, 74;
+# the batch past the table took 75 before the memo of whole-number logs)
 THETA_CALL_BUDGETS = {
     "rs_z": (lambda: rs_z(1000.3), 26),
     "z_reference": (lambda: z_reference(1000.3), 26),
     "gram_point": (lambda: gram_point(1000), 40),
     "rs_z_batch": (lambda: rs_z(np.random.default_rng(20261027).uniform(100.0, 240.0, 100)), 26),
+    # past the table: a zero search near 1e5 asks again for the integers
+    # of its last call, which the memo holds
+    "rs_z_batch_past_the_table": (lambda: rs_z(np.array([100_000.37, 100_000.71])), 26),
 }
 
 
 @pytest.mark.parametrize("name", sorted(THETA_CALL_BUDGETS))
 def test_theta_runs_no_log_kernel_on_a_float_or_a_covered_batch(fresh_table, ddmath_calls, name):
-    # one float reads the cached dd_log of round(t), and a batch below the
-    # table's 1024 entries reads the table: neither runs _log_parts
+    # one float reads the cached dd_log of round(t), a batch below the
+    # table's 1024 entries reads the table, and a batch past it whose
+    # integers the warm-up asked for reads the memo: none runs _log_parts
     call, budget = THETA_CALL_BUDGETS[name]
     log_table(1000)
     seen = ddmath_calls(call)

@@ -32,6 +32,7 @@ from zetasteps.ddmath import BLOCK
 from zetasteps.evaluators import (
     FLAG_DEGENERATE_P,
     _GABCKE,
+    _GABCKE_W,
     _gabcke,
     _remainder_c,
     _rs_bound,
@@ -407,6 +408,29 @@ class TestGabcke:
                 series = sum(c * 0.1**k for k, c in enumerate(want))
                 assert abs(_gabcke(z, 0.1) - series) < 1e-15, p
                 assert abs(_remainder_c(p) - want[0]) < 1e-15, p
+
+    @staticmethod
+    def _gabcke_reference(z, v):
+        # the Horner pass with a new array per step, as first written
+        w = np.expand_dims(z * z, -1)
+        acc = _GABCKE_W[-1]
+        for row in _GABCKE_W[-2::-1]:
+            acc = acc * w + row
+        k = np.arange(5)
+        c = np.where(k % 2 == 1, acc * np.expand_dims(z, -1), acc)
+        return (c * np.expand_dims(v, -1) ** k).sum(-1)
+
+    def test_in_place_horner_is_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(20261020)
+        z = rng.uniform(-0.5, 0.5, 3000)
+        v = 1.0 / np.sqrt(rng.uniform(1.0, 1e6, 3000))
+        cases = [(z, v), (z.reshape(30, 100), v.reshape(30, 100)), (z[:1], v[:1]), (z[:0], v[:0]),
+                 (z, 0.0), (-0.5, 0.0), (0.0, 0.0), (0.49999999999999994, 0.0)]
+        cases += [(float(a), float(b)) for a, b in zip(z[:200], v[:200])]
+        cases += [(float(a), 0.0) for a in z[:200]]
+        for zc, vc in cases:
+            got, want = _gabcke(zc, vc), self._gabcke_reference(zc, vc)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (zc, vc)
 
     # (lowest t, bound): measured worst errors 3.5e-6, 2.4e-7, 3.5e-8,
     # 4.5e-9, 6.0e-11 and 9.6e-14 over 600 seeded t

@@ -838,6 +838,21 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [w for argv in runs for w in (argv[0], "False")]
 
+    @pytest.mark.parametrize("argv", [
+        ["zeros", "--t-lo", "100000", "--t-hi", "100003"],
+        ["histogram", "--count", "100"],
+    ], ids=["zeros-past-the-table", "histogram"])
+    def test_cold_zero_search_leaves_numpy_ma_unimported(self, argv):
+        # each in a fresh interpreter, so the first theta batch past the log
+        # table runs the memo of whole-number logs cold; np.unique or
+        # np.union1d there would import numpy.ma (13-24 ms)
+        code = ("import os, sys; from zetasteps.cli import main\n"
+                f"assert main([*{argv!r}, '--out', os.devnull]) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=CHILD_ENV)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-c",

@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Each subcommand names its header and row function with `set_defaults`; all
-but `eval`, which runs one point through a chosen algorithm, are exporters.
+Each subcommand names its header and column-block function with
+`set_defaults`; all but `eval`, which runs one point through a chosen
+algorithm, are exporters.  The array figures hand their numpy blocks to the
+writer as they are; the other commands' tuple rows go through
+`export.row_blocks`.
 Exit codes: 0 success, 2 domain error or an unparsable or non-finite
 number, 3 resource-guard error.
 """
@@ -70,10 +73,11 @@ def _eval_rows(args) -> Iterator[Tuple]:
     )
 
 
-def _add_common(p: argparse.ArgumentParser, header, rows, *names: str) -> None:
-    """Options `names`, --format and --out; `rows(args)` yields rows under `header`.
-    "t-range" requires --t-lo and --t-hi; "t-lo" requires --t-lo only."""
-    p.set_defaults(header=header, rows=rows)
+def _add_common(p: argparse.ArgumentParser, header, blocks, *names: str) -> None:
+    """Options `names`, --format and --out; `blocks(args)` yields column
+    blocks under `header`.  "t-range" requires --t-lo and --t-hi; "t-lo"
+    requires --t-lo only."""
+    p.set_defaults(header=header, blocks=blocks)
     if "sigma" in names:
         p.add_argument("--sigma", type=_finite, default=0.5)
     if "t" in names:
@@ -102,38 +106,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate zeta at one point")
     p.add_argument("--algorithm", choices=_ALGORITHMS, default="reference")
-    _add_common(p, EVAL_HEADER, _eval_rows, "sigma", "t", "tol")
+    _add_common(p, EVAL_HEADER, lambda a: ex.row_blocks(_eval_rows(a)), "sigma", "t", "tol")
 
     p = sub.add_parser("zeros", help="locate critical-line zeros in a t range")
-    _add_common(p, ex.ZEROS_HEADER, lambda a: ex.export_zeros(
+    _add_common(p, ex.ZEROS_HEADER, lambda a: ex.row_blocks(ex.export_zeros(
         t_hi=a.t_hi, count=a.count, tol=a.tol, t_lo=a.t_lo
-    ), "t-lo", "tol", "workers")
+    )), "t-lo", "tol", "workers")
     p.add_argument("--count", type=int, default=None,
                    help="stop after this many zeros (t-hi then optional)")
 
     p = sub.add_parser("gram", help="list Gram points in a t range")
-    _add_common(p, ex.GRAM_HEADER, lambda a: ex.export_gram(a.t_lo, a.t_hi), "t-range")
+    _add_common(p, ex.GRAM_HEADER, lambda a: ex.gram_blocks(a.t_lo, a.t_hi), "t-range")
 
     p = sub.add_parser("conjugate", help="conjugate-region report at one ordinate")
-    _add_common(p, ex.CONJUGATE_HEADER, lambda a: ex.export_conjugate(
+    _add_common(p, ex.CONJUGATE_HEADER, lambda a: ex.row_blocks(ex.export_conjugate(
         Argument(a.sigma, a.t), a.n_lo, a.n_hi
-    ), "sigma", "t")
+    )), "sigma", "t")
     p.add_argument("--n-lo", type=int, default=1)
     p.add_argument("--n-hi", type=int, default=None)
 
     p = sub.add_parser("stepplot", help="cumulative step rows for one ordinate")
-    _add_common(p, ex.STEPPLOT_HEADER, lambda a: ex.export_stepplot(
+    _add_common(p, ex.STEPPLOT_HEADER, lambda a: ex.stepplot_blocks(
         Argument(a.sigma, a.t), a.decimation
     ), "sigma", "t")
     p.add_argument("--decimation", type=int, default=1)
 
     p = sub.add_parser("limacon", help="double-pendulum trajectory rows")
-    _add_common(p, ex.LIMACON_HEADER, lambda a: ex.export_limacon(
+    _add_common(p, ex.LIMACON_HEADER, lambda a: ex.limacon_blocks(
         a.sigma, a.t_lo, a.t_hi, a.samples
     ), "sigma", "t-range", "samples")
 
     p = sub.add_parser("surface", help="|P| and |QP(1-s)| on a strip grid")
-    _add_common(p, ex.SURFACE_HEADER, lambda a: ex.export_surface(
+    _add_common(p, ex.SURFACE_HEADER, lambda a: ex.surface_blocks(
         a.sigma_lo, a.sigma_hi, a.t_lo, a.t_hi, a.n_sigma, a.n_t
     ), "t-range")
     p.add_argument("--sigma-lo", type=_finite, default=0.0)
@@ -142,16 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-t", type=int, default=101)
 
     p = sub.add_parser("loops", help="zeta trajectories for several sigma")
-    _add_common(p, ex.LOOPS_HEADER, lambda a: ex.export_loops(
+    _add_common(p, ex.LOOPS_HEADER, lambda a: ex.loops_blocks(
         a.sigma, a.t_lo, a.t_hi, a.samples
     ), "t-range", "samples")
     p.add_argument("--sigma", type=_finite_list, default="0.5",
                    help="comma-separated list of sigma values")
 
     p = sub.add_parser("histogram", help="Gram-offset histogram of leading zeros")
-    _add_common(p, ex.HISTOGRAM_HEADER, lambda a: ex.export_histogram(
+    _add_common(p, ex.HISTOGRAM_HEADER, lambda a: ex.row_blocks(ex.export_histogram(
         a.count, a.bins, tol=a.tol
-    ), "tol", "workers")
+    )), "tol", "workers")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--bins", type=int, default=21)
     return ap
@@ -175,13 +179,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
         # Exporters are generators that check their arguments on the first
-        # row; take it before anything is written or a file is created.
-        rows = iter(args.rows(args))
-        rows = itertools.chain(list(itertools.islice(rows, 1)), rows)
+        # block; take it before anything is written or a file is created.
+        blocks = iter(args.blocks(args))
+        blocks = itertools.chain(list(itertools.islice(blocks, 1)), blocks)
         with contextlib.ExitStack() as stack:
             out = tmp or args.out
             stream = sys.stdout if out is None else stack.enter_context(open(out, "w"))
-            ex.write_rows(stream, args.header, rows, args.format)
+            ex.write_blocks(stream, args.header, blocks, args.format)
         if tmp is not None:
             os.replace(tmp, args.out)
     except DomainError as err:

@@ -79,9 +79,9 @@ class PredictedSum(NamedTuple):
 
 def _theta_dd(t):
     """theta_RS(t) = (t/2)(log t - log 2*pi*e) - pi/8 + 1/48t + 7/5760t^3
-    as a dd pair, for a float or an ndarray of ordinates t >= 2*pi (an empty
-    array passes, NaN does not).  The one check of the 2*pi floor for every
-    theta reader.
+    as a dd pair, for a float or an ndarray of finite ordinates t >= 2*pi (an
+    empty array passes, NaN and inf do not).  The one check of the 2*pi
+    floor for every theta reader.
 
     log t = log(ref) + x + (log1p(x) - x), ref = round(t), x = (t - ref)/ref:
     t - ref is exact (Sterbenz); log(ref), a whole number's dd log, comes from
@@ -92,9 +92,9 @@ def _theta_dd(t):
     words (rounding < 1e-18 rad).
     """
     array = isinstance(t, np.ndarray)
-    low = t.min(initial=TWOPI) if array else t
-    if low < TWOPI or math.isnan(low):
-        raise DomainError(f"theta_RS needs t >= 2*pi, got {low}")
+    low, high = (t.min(initial=TWOPI), t.max(initial=TWOPI)) if array else (t, t)
+    if low < TWOPI or math.isnan(low) or high == math.inf:
+        raise DomainError(f"theta_RS needs t >= 2*pi, got {high if high == math.inf else low}")
     ref = np.rint(t) if array else float(round(t))
     log_ref, cast = (dd_log_whole(ref), np.asarray) if array else (dd_log(ref), float)
     xh, xl = dd_div(t - ref, ref)
@@ -140,9 +140,9 @@ def sqrt_t_over_twopi(t):
 def frame_of(t) -> SymmetryFrame:
     """n_p, p and the degeneracy flag for one ordinate, or arrays of them
     for an ndarray of ordinates; theta_RS is read from the frame on demand."""
-    low = np.min(t, initial=TWOPI)
-    if low < TWOPI or math.isnan(low):
-        raise DomainError(f"frame_of needs t >= 2*pi, got {low}")
+    low, high = np.min(t, initial=TWOPI), np.max(t, initial=TWOPI)
+    if low < TWOPI or math.isnan(low) or high == math.inf:
+        raise DomainError(f"frame_of needs t >= 2*pi, got {high if high == math.inf else low}")
     r = sqrt_t_over_twopi(t)
     n_p = np.floor(r)  # a float array for an ndarray t: it may pass 2**63
     p = r - n_p

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 import time
@@ -145,9 +146,9 @@ class TestWriters:
 
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
     def test_chunked_writes_match_token_rule(self, fmt):
-        # rows go out joined, at most 256 to a write; the JSON null rule
-        # holds at every join
-        header, rows = ("i", "x", "tag"), [(i, math.nan if i % 7 else 0.5, "nan") for i in range(513)]
+        # rows go out joined, a piece of equal row counts to a write, the
+        # last piece the rest; the JSON null rule holds at every join
+        header, rows = ("i", "x", "tag"), [(i, math.nan if i % 7 else 0.5, "nan") for i in range(1200)]
         writes = []
 
         class Stream(io.StringIO):
@@ -158,14 +159,31 @@ class TestWriters:
         stream = Stream()
         assert write_rows(stream, header, rows, fmt) == len(rows)
         assert stream.getvalue() == render_by_token_rule(header, rows, fmt)
-        assert writes[-3:] == [256, 256, 1]
+        pieces = writes[1:] if fmt == "csv" else writes  # the CSV header goes first
+        assert len(pieces) >= 3 and sum(pieces) == len(rows)
+        assert set(pieces[:-1]) == {pieces[0]} and 0 < pieces[-1] <= pieces[0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_writes_of_about_25_kb(self, fmt):
+        # stepplot's rows (an int and four floats) go out some 25 KB a write;
+        # a kernel block's last piece may be shorter
+        writes = []
+
+        class Stream(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        s = Argument(0.5, TWOPI * 1e4)
+        assert write_rows(Stream(), STEPPLOT_HEADER, export_stepplot(s), fmt) == 20000
+        assert 16_000 <= sorted(writes)[len(writes) // 2] <= 48_000 and max(writes) <= 8 * BLOCK
 
     @pytest.mark.parametrize("argv", README_RUNS)
     def test_rows_keep_first_row_column_types(self, argv):
-        # write_rows' template holds only if every row has the first row's
-        # str-or-number column types
+        # write_rows types each column by its first row, so every row must
+        # have the first row's str-or-number column types
         args = build_parser().parse_args(list(argv))
-        kinds = [tuple(isinstance(v, str) for v in row) for row in args.rows(args)]
+        kinds = [tuple(isinstance(v, str) for v in row) for row in ex._rows(args.blocks(args))]
         assert kinds and len(kinds[0]) == len(args.header)
         assert set(kinds) == {kinds[0]}
 
@@ -188,6 +206,55 @@ class TestWriters:
             # g_0 > 14.13, so the first zero has no Gram offset
             assert outs["csv"][1].split(",")[3] == "nan"
             assert json.loads(outs["json-lines"][0])["scaled_offset"] is None
+
+
+def renderer_floats():
+    """Floats for the %.15g kernel and around its edges, of both signs."""
+    rnd = random.Random(20261020)
+    bits = [struct.unpack("<d", struct.pack("<Q", rnd.getrandbits(64)))[0] for _ in range(4000)]
+    ties = [rnd.randrange(10**14, 10**15) + 0.5 for _ in range(500)]
+    ties += [1e14 + 0.5, 1e14 + 1.5, 999999999999998.5, 999999999999999.5]  # the last carries
+    powers = [float(f"1e{e}") for e in range(-9, 16)]
+    powers += [math.nextafter(p, d) for p in powers for d in (0.0, math.inf)]
+    decimals = [rnd.randrange(10**14, 10**15) / 10.0 ** rnd.randint(0, 22) for _ in range(1000)]
+    edges = [1e-8, math.nextafter(1e-8, 0.0), 0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+             2.225073858507201e-308, 1.7976931348623157e308, 0.5, 1.0, 123456.789]
+    values = bits + ties + powers + decimals + edges
+    return values + [-v for v in values]
+
+
+RENDERER_INTS = [0, 1, -1, 7, 10**15 - 1, -(10**15 - 1), 10**15, -(10**15), 2**53 + 1,
+                 2**63 - 1, 2**63, -(2**63), 2**64 + 5, 10**30, -(10**400), True, False]
+RENDERER_STRS = ["", "sample", "gram", "nan", "a%sb", "x|y", "\xff", "z\u00e9", "nul\x00"]
+
+
+class TestRenderer:
+    """write_rows and write_blocks print each value byte for byte as
+    token_rule does: numbers in [1e-8, 1e15) through the numpy kernel, the
+    rest one at a time."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_tuple_rows_match_token_rule(self, fmt):
+        xs = renderer_floats()
+        header = ("x", "n", "tag", "y", "k")
+        rows = [(x, RENDERER_INTS[i % len(RENDERER_INTS)], RENDERER_STRS[i % len(RENDERER_STRS)],
+                 np.float64(xs[-1 - i]), np.int64(i * 999_999_999_999 % 10**15 - 5 * 10**14))
+                for i, x in enumerate(xs)]
+        assert render(header, rows, fmt) == render_by_token_rule(header, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_column_blocks_match_token_rule(self, fmt):
+        # blocks of 1, 2 and thousands of rows: pieces straddle block ends
+        xs = np.array(renderer_floats())
+        ns = np.array([v for v in RENDERER_INTS if -(2**63) <= v < 2**63] * 1000, dtype=np.int64)[: xs.size]
+        tags = np.array(RENDERER_STRS * 2000)[: xs.size]
+        bounds = [0, 1, 3, 2000, 2001, 7000, xs.size]
+        blocks = [[xs[i:j], ns[i:j], tags[i:j], ns[i:j] % 2 == 0, xs[i:j][::-1]]
+                  for i, j in zip(bounds, bounds[1:])]
+        header = ("x", "n", "tag", "even", "y")
+        buf = io.StringIO()
+        assert ex.write_blocks(buf, header, blocks, fmt) == xs.size
+        assert buf.getvalue() == render_by_token_rule(header, list(ex._rows(blocks)), fmt)
 
 
 class TestStepplot:
@@ -281,6 +348,19 @@ class TestSurface:
     def test_grid_guard(self):
         with pytest.raises(ResourceGuardError):
             list(export_surface(0.0, 1.0, 100.0, 200.0, 2000, 2000))
+
+    def test_moduli_round_as_pythons_abs(self):
+        # the moduli are np.hypot of the parts, which rounds as Python's abs
+        # of a complex does; np.abs rounds apart (it differs on 69,789 of the
+        # 200,000 seeded values below)
+        sigmas, ts = [-3.0 + 7.0 * i / 7 for i in range(8)], [14.0 + 2986.0 * i / 63 for i in range(64)]
+        p, qp = symmetry.symmetric_grid(sigmas, np.array(ts)).tolist()
+        want = [(sigma, t, abs(a), abs(b)) for sigma, row_p, row_qp in zip(sigmas, p, qp)
+                for t, a, b in zip(ts, row_p, row_qp)]
+        assert list(export_surface(-3.0, 4.0, 14.0, 3000.0, 8, 64)) == want
+        rng = np.random.default_rng(20261020)
+        z = (rng.standard_normal(200_000) + 1j * rng.standard_normal(200_000)) * 10.0 ** rng.integers(-100, 100, 200_000)
+        assert np.hypot(z.real, z.imag).tolist() == [abs(v) for v in z.tolist()]
 
     def test_theta_once_per_grid(self, monkeypatch):
         # one theta (and its phase) serves every sigma of the grid; only |Q|
@@ -656,26 +736,26 @@ class TestCli:
     ])
     def test_late_domain_error_leaves_no_file(self, argv, tmp_path, monkeypatch, capsys):
         # every argument passes the exporters' checks, so the exporter is
-        # made to raise when its second row is asked for: after the first row
-        name = f"export_{argv[0]}"
+        # made to raise when its second block is asked for: after the first
+        # block, which is written
+        name = f"{argv[0]}_blocks"
         real, calls = getattr(ex, name), []
 
         def fails_late(*args):
-            for row in real(*args):
-                calls.append(row)
-                if len(calls) > 1:
-                    raise DomainError("injected after the first row")
-                yield row
+            for block in real(*args):
+                calls.append(block)
+                yield block
+                raise DomainError("injected after the first block")
 
         monkeypatch.setattr(ex, name, fails_late)
         out = tmp_path / "out.csv"
         assert self.run(*argv, "--out", str(out)) == 2
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert list(tmp_path.iterdir()) == []
         out.write_bytes(b"kept\n")
         calls.clear()
         assert self.run(*argv, "--out", str(out)) == 2
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert out.read_bytes() == b"kept\n"
         assert list(tmp_path.iterdir()) == [out]
 

@@ -146,6 +146,26 @@ def test_nan_refused_at_the_two_pi_floor(name):
         fn(*args)
 
 
+INF_CALLS = {
+    "rs_theta": (rs_theta, math.inf),
+    "rs_z": (rs_z, math.inf),
+    "z_reference": (z_reference, math.inf),
+    "frame_of": (frame_of, math.inf),
+    "rs_theta_array": (rs_theta, np.array([math.inf])),
+    "rs_z_array": (rs_z, np.array([1e5, math.inf])),
+    "frame_of_array": (frame_of, np.array([100.0, math.inf])),
+}
+
+
+@pytest.mark.parametrize("name", list(INF_CALLS))
+def test_inf_refused_at_the_two_pi_floor(name):
+    # inf >= 2pi, so the floor checks also test the largest t: a DomainError,
+    # not an OverflowError from int(inf) or an IndexError from the log table
+    fn, *args = INF_CALLS[name]
+    with pytest.raises(DomainError, match=r"needs t >= 2\*pi, got inf$"):
+        fn(*args)
+
+
 def mp_theta_series(t):
     """The theta series at dps 50 (mp_theta rounds it to a double)."""
     with mpmath.workdps(50):

@@ -11,18 +11,17 @@ The primitives are branch-free and polymorphic: they accept Python floats
 or numpy arrays alike (Dekker splitting instead of fma, which CPython 3.10
 does not expose).
 
-Every dd logarithm comes from one table-driven kernel, `_log_parts`,
-which serves the scalar `dd_log` and the integer log table alike; the
-table runs it once per odd core m for all of m*2^i.  Whole numbers past
-the table (theta's round(t) at large t) are kept in a small memo, so a
-zero search runs the kernel on each integer once, not once per pass.  The
-dd constants are float literals rounded from 50-digit mpmath values.
+Every dd logarithm comes from one table-driven kernel, `_log_parts`, which
+serves `dd_log` and the integer log table alike; the table runs it once per
+odd core m for all of m*2^i.  A whole number's log (a step index, theta's
+round(t)) has one reader, `dd_log_whole`: the table, else a 1,024-slot memo
+past it, so a zero search runs the kernel on each integer once, not once per
+pass.  The dd constants are float literals rounded from 50-digit mpmath values.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -158,21 +157,19 @@ _K_HI, _K_LO = dd_add(*dd_mul_double(*_KNOTS[64], np.arange(-1.0, 64.0)[:, None]
                       _KNOT_HI, _KNOT_LO)
 
 
-_dd_log_memo = lru_cache(maxsize=200_000)(_dd_log)
-
-
 def dd_log(x: float):
     """log(x) as a dd pair, within 4e-30*max(1, |log x|) of the true value.
 
     Measured against 50-digit mpmath: at most 6.1e-31*max(1, |log x|) over
     48k doubles (uniform in bit pattern, near 1, and the knot edges); the
     error is mostly the 3.3e-31 of the log 2 knot, times the exponent.
-    Results are cached: `step_term` and theta ask for the same small
-    integers on every call.
+    A whole x (every step index) reads `dd_log_whole`, any other x runs the
+    kernel: `_dd_log`'s bits either way, and nothing else is kept.
     """
-    if x <= 0.0 or not math.isfinite(x):
+    if not 0.0 < x < math.inf:  # NaN fails too
         raise ValueError(f"dd_log requires finite x > 0, got {x}")
-    return _dd_log_memo(float(x))
+    x = float(x)
+    return dd_log_whole(x) if x.is_integer() else _dd_log(x)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +226,23 @@ _whole = np.zeros((3, _LOG_STEP))
 
 
 def dd_log_whole(n):
-    """`_dd_log` of an ndarray of whole numbers n >= 1, the same bits: read
-    off the log table where it already holds every n (never grown here),
-    else off the memo `_whole`.  A batch with any n the memo lacks runs the
-    kernel once, on the whole batch, and each n takes its slot, in place of
-    the n there before."""
+    """`_dd_log` of a whole float n >= 1 (Python floats back) or an ndarray
+    of them, the same bits: read off the log table where it already holds
+    every n (never grown here), else off the memo `_whole`.  A float or a
+    batch with any n the memo lacks runs the kernel once, on the whole
+    batch, and each n takes its slot, in place of the n there before."""
     global _whole
     hi, lo = _log
+    if isinstance(n, float):
+        k = int(n)
+        if k < len(hi):
+            return hi.item(k), lo.item(k)
+        memo, slot = _whole, k % _LOG_STEP
+        if memo.item(0, slot) != n:
+            memo = memo.copy()
+            memo[:, slot] = n, *_dd_log(n)
+            _whole = memo
+        return memo.item(1, slot), memo.item(2, slot)
     if n.size and n.max() < len(hi):
         k = n.astype(np.intp)
         return hi[k], lo[k]

@@ -23,7 +23,6 @@ from .ddmath import (
     TWOPI,
     dd_add,
     dd_div,
-    dd_log,
     dd_log_whole,
     dd_mul_double,
     mod_twopi,
@@ -77,6 +76,12 @@ class PredictedSum(NamedTuple):
     accuracy_unguaranteed: bool
 
 
+def _floor_check(name, low, high):
+    """DomainError unless the least and greatest t are finite and >= 2*pi."""
+    if low < TWOPI or math.isnan(low) or high == math.inf:
+        raise DomainError(f"{name} needs t >= 2*pi, got {high if high == math.inf else low}")
+
+
 def _theta_dd(t):
     """theta_RS(t) = (t/2)(log t - log 2*pi*e) - pi/8 + 1/48t + 7/5760t^3
     as a dd pair, for a float or an ndarray of finite ordinates t >= 2*pi (an
@@ -85,22 +90,21 @@ def _theta_dd(t):
 
     log t = log(ref) + x + (log1p(x) - x), ref = round(t), x = (t - ref)/ref:
     t - ref is exact (Sterbenz); log(ref), a whole number's dd log, comes from
-    the `dd_log` cache for a float (dd_log(t) would miss it on each new t) or
-    `dd_log_whole` for an ndarray (the log table, else its memo of whole
-    numbers past the table, the same bits); the plain-double tail costs at most
+    `dd_log_whole` for a float and an ndarray alike (the log table, else its
+    memo of whole numbers past the table, the same bits; a log of t itself
+    would run the kernel on each new t); the plain-double tail costs at most
     (t/2)*ulp(x) < 1e-16 rad.  The tail and the small series terms ride in lo
     words (rounding < 1e-18 rad).
     """
     array = isinstance(t, np.ndarray)
     low, high = (t.min(initial=TWOPI), t.max(initial=TWOPI)) if array else (t, t)
-    if low < TWOPI or math.isnan(low) or high == math.inf:
-        raise DomainError(f"theta_RS needs t >= 2*pi, got {high if high == math.inf else low}")
+    _floor_check("theta_RS", low, high)
     ref = np.rint(t) if array else float(round(t))
-    log_ref, cast = (dd_log_whole(ref), np.asarray) if array else (dd_log(ref), float)
+    log_ref, cast = dd_log_whole(ref), (np.asarray if array else float)
     xh, xl = dd_div(t - ref, ref)
     h, l = dd_add(*log_ref, -LOG_TWOPI_E_HI, -LOG_TWOPI_E_LO)
     # np.log1p for a float too (math.log1p rounds apart): the array's bits
-    h, l = dd_add(h, l, xh, xl + cast(np.log1p(xh) - xh))
+    h, l = dd_add(h, l, xh, xl + (cast(np.log1p(xh)) - xh))
     h, l = dd_mul_double(h, l, 0.5 * t)
     small = 1.0 / (48.0 * t) + 7.0 / (5760.0 * t * t * t)
     return dd_add(h, l, -PI8_HI, small - PI8_LO)
@@ -140,9 +144,7 @@ def sqrt_t_over_twopi(t):
 def frame_of(t) -> SymmetryFrame:
     """n_p, p and the degeneracy flag for one ordinate, or arrays of them
     for an ndarray of ordinates; theta_RS is read from the frame on demand."""
-    low, high = np.min(t, initial=TWOPI), np.max(t, initial=TWOPI)
-    if low < TWOPI or math.isnan(low) or high == math.inf:
-        raise DomainError(f"frame_of needs t >= 2*pi, got {high if high == math.inf else low}")
+    _floor_check("frame_of", np.min(t, initial=TWOPI), np.max(t, initial=TWOPI))
     r = sqrt_t_over_twopi(t)
     n_p = np.floor(r)  # a float array for an ndarray t: it may pass 2**63
     p = r - n_p

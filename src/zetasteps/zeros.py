@@ -57,8 +57,9 @@ def gram_point(N):
     rs_theta until |theta_RS(t) - N*pi| <= max(1e-10, 4 ulp(N*pi)) (above
     N*pi = 2**19 the rounding of theta exceeds 1e-10); an int takes theta's float path."""
     n = as_rows(N)
-    if np.min(n, initial=0.0) < 0:
-        raise DomainError(f"Gram index must be >= 0, got {np.min(n):.0f}")
+    if not np.isfinite(n).all() or np.min(n, initial=0.0) < 0:
+        bad = n[~np.isfinite(n) | (n < 0.0)]
+        raise DomainError(f"Gram index must be finite and >= 0, got {np.min(bad):.0f}")
     u, open_ = np.maximum(3.0, n), np.ones(n.shape, dtype=bool)
     for _ in range(30):
         log_u = np.log(u)

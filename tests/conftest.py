@@ -70,7 +70,8 @@ def phase_recorder(monkeypatch):
 def ddmath_calls():
     """Count the Python-level calls into zetasteps/ddmath.py, by function
     name, that `record(fn)` sees while fn runs (sys.setprofile), after one
-    warm-up call of fn, so the `dd_log` cache and the log table are warm.
+    warm-up call of fn, so the log table and the memo of whole-number logs
+    are warm.
     Yields record, which returns the counts as a collections.Counter."""
     def record(fn):
         fn()

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetasteps import ddmath, gram_point, rs_z, z_reference
+from zetasteps import ddmath, gram_point, rs_theta, rs_z, z_reference
 from zetasteps.ddmath import TWOPI, dd_log, log_table
 from zetasteps.steps import reduced_phase
 from zetasteps.symmetry import _theta_dd
@@ -120,8 +121,9 @@ def test_log_table_accuracy_and_scalar_agreement(fresh_table):
     sample = table_sample()
     worst = max(log_error(n, hi[n], lo[n]) for n in sample)
     assert worst <= 1e-28
-    # the scalar path runs the same kernel, bit for bit
-    assert [dd_log(n) for n in sample] == [(hi[n], lo[n]) for n in sample]
+    # the kernel on one float has the table's bits (dd_log of a whole n
+    # reads the table itself, so it would compare the table with itself)
+    assert [ddmath._dd_log(float(n)) for n in sample] == [(hi[n], lo[n]) for n in sample]
 
 
 def test_log_table_growth_is_chunk_independent(fresh_table):
@@ -294,7 +296,7 @@ def dd_log_whole_counting(monkeypatch):
     calls, kernel = [], ddmath._dd_log
 
     def counting(x):
-        calls.append(x.size)
+        calls.append(np.size(x))
         return kernel(x)
 
     monkeypatch.setattr(ddmath, "_dd_log", counting)
@@ -329,6 +331,22 @@ def test_dd_log_whole_runs_the_kernel_only_on_a_miss(fresh_table, monkeypatch):
     assert_memo_is_the_kernel(kernel)
 
 
+def test_dd_log_of_a_whole_float_reads_the_one_store(fresh_table, monkeypatch):
+    # dd_log of a whole x reads dd_log_whole: two table entries inside the
+    # table, one memo slot past it, the kernel on a miss; Python floats with
+    # the kernel's bits either way.  Any other x runs the kernel, uncached.
+    log_table(1000)
+    table = ddmath._log
+    calls, kernel = dd_log_whole_counting(monkeypatch)
+    past = [1_000_003.0, 2.0**60, 1_000_003.0 + 7 * ddmath._LOG_STEP]  # the last evicts the first
+    for x in [2, 17.0, 1023, *past, 1_000_003.0, 2.0**60, 2.5, 2.5]:
+        got = dd_log(x)
+        assert got == kernel(float(x)) and [type(w) for w in got] == [float, float], x
+    assert calls == [1, 1, 1, 1, 1, 1]  # the three past the table, the evicted one, 2.5 twice
+    assert ddmath._log is table and len(table[0]) == 1024
+    assert_memo_is_the_kernel(kernel)
+
+
 STEP = ddmath._LOG_STEP
 
 
@@ -354,7 +372,8 @@ def test_dd_log_whole_past_the_memo_size(fresh_table, monkeypatch, batches, miss
 
 def test_dd_log_whole_from_threads(fresh_table):
     # threads share the memo: however their updates interleave, and
-    # whichever of them is lost, every result has the kernel's bits
+    # whichever of them is lost, every result has the kernel's bits.  Float
+    # lookups (dd_log of whole floats) hit the same slots as the batches.
     log_table(1000)
     rng = np.random.default_rng(20261020)
     batches = [np.rint(rng.uniform(1e5, 1e5 + 3000, size)) for size in (2, 5, 300, 2, 40, B, 7, 1)]
@@ -370,10 +389,19 @@ def test_dd_log_whole_from_threads(fresh_table):
         except Exception as exc:  # recorded for the main thread
             errors.append(exc)
 
+    def look_up_floats(n):
+        try:
+            for _ in range(5):
+                for x in n.tolist():
+                    assert dd_log(x) == ddmath._dd_log(x), x
+        except Exception as exc:
+            errors.append(exc)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=look_up, args=(n,)) for n in batches]
+        threads += [threading.Thread(target=look_up_floats, args=(n,)) for n in batches if n.size <= 300]
         for th in threads:
             th.start()
         for th in threads:
@@ -383,6 +411,24 @@ def test_dd_log_whole_from_threads(fresh_table):
     assert not any(th.is_alive() for th in threads)
     assert errors == []
     assert_memo_is_the_kernel()
+
+
+def test_scalar_theta_past_the_table_keeps_memory_flat(fresh_table):
+    # 10,000 distinct round(t) past the table share the 1,024-slot memo, so
+    # traced memory stays flat; a 200,000-entry lru_cache of scalar logs
+    # grew it by about 2.6 MB here
+    log_table(1000)
+    ts = (200_000.3 + np.arange(10_000.0)).tolist()
+    rs_theta(ts[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in ts:
+            rs_theta(t)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1e6, grown
 
 
 def test_theta_of_a_covered_batch_is_its_float_calls(fresh_table):
@@ -395,7 +441,8 @@ def test_theta_of_a_covered_batch_is_its_float_calls(fresh_table):
 
 # ddmath calls of one warm call, as counted at the change that made theta
 # read the cached dd_log or the table (the kernel path took 74, 74, 136, 74;
-# the batch past the table took 75 before the memo of whole-number logs)
+# the batch past the table took 75 before the memo of whole-number logs).
+# One float now reads dd_log_whole: the table, or past it the memo.
 THETA_CALL_BUDGETS = {
     "rs_z": (lambda: rs_z(1000.3), 26),
     "z_reference": (lambda: z_reference(1000.3), 26),
@@ -404,14 +451,15 @@ THETA_CALL_BUDGETS = {
     # past the table: a zero search near 1e5 asks again for the integers
     # of its last call, which the memo holds
     "rs_z_batch_past_the_table": (lambda: rs_z(np.array([100_000.37, 100_000.71])), 26),
+    "rs_theta_past_the_table": (lambda: rs_theta(123456.7), 20),
 }
 
 
 @pytest.mark.parametrize("name", sorted(THETA_CALL_BUDGETS))
 def test_theta_runs_no_log_kernel_on_a_float_or_a_covered_batch(fresh_table, ddmath_calls, name):
-    # one float reads the cached dd_log of round(t), a batch below the
-    # table's 1024 entries reads the table, and a batch past it whose
-    # integers the warm-up asked for reads the memo: none runs _log_parts
+    # one float or a batch below the table's 1024 entries reads the table,
+    # and one past it whose integers the warm-up asked for reads the memo:
+    # none runs _log_parts
     call, budget = THETA_CALL_BUDGETS[name]
     log_table(1000)
     seen = ddmath_calls(call)

@@ -3,6 +3,8 @@ gives Python scalars, an ndarray t gives arrays of its shape whose every
 entry has its own float call's bits, and a list is a TypeError.  The rule
 lives in steps.as_rows and steps.shaped."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -104,4 +106,18 @@ def test_gram_point_negative_entry_refused_before_any_solve(ns, monkeypatch):
     monkeypatch.setattr(zeros.np, "log", solve)  # the seed's first step
     monkeypatch.setattr(zeros, "rs_theta", solve)
     with pytest.raises(DomainError):
+        gram_point(ns)
+
+
+@pytest.mark.parametrize("ns", [math.inf, math.nan, np.array([5.0, math.inf]), np.array([math.nan])],
+                         ids=["inf", "nan", "array_inf", "array_nan"])
+def test_gram_point_non_finite_entry_refused_before_any_solve(ns, monkeypatch):
+    # the index is named before the seed's Newton step, which would warn on
+    # inf - inf, and before theta, which would refuse a NaN ordinate instead
+    def solve(*args):
+        raise AssertionError("solved before the domain check")
+
+    monkeypatch.setattr(zeros.np, "log", solve)
+    monkeypatch.setattr(zeros, "rs_theta", solve)
+    with pytest.raises(DomainError, match=r"^Gram index must be finite and >= 0, got (inf|nan)$"):
         gram_point(ns)

@@ -19,7 +19,6 @@ from zetasteps import (
     conj_sum_predicted,
     find_zeros,
     frame_of,
-    gram_point,
     jacobi_g,
     partial_sum,
     pendant_offset,
@@ -130,7 +129,6 @@ NAN_CALLS = {
     "scan_z_sign_changes": (scan_z_sign_changes, math.nan, 20.0),
     "rs_theta_array": (rs_theta, np.array([100.0, math.nan])),
     "rs_z_array": (rs_z, np.array([math.nan])),
-    "gram_point_array": (gram_point, np.array([math.nan])),
     "refine_zero": (refine_zero, (math.nan, 14.3), 1e-8),
     "frame_of_array": (frame_of, np.array([math.nan])),
 }

@@ -5,8 +5,8 @@ Each subcommand names its header and column-block function with
 algorithm, are exporters.  The array figures hand their numpy blocks to the
 writer as they are; the other commands' tuple rows go through
 `export.row_blocks`.
-Exit codes: 0 success, 2 domain error or an unparsable or non-finite
-number, 3 resource-guard error.
+Exit codes: 0 success, 2 domain error, an unparsable or non-finite
+number or an --out path that cannot be written, 3 resource-guard error.
 """
 
 from __future__ import annotations
@@ -194,6 +194,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ResourceGuardError as err:
         print(f"resource guard: {err}", file=sys.stderr)
         return 3
+    except OSError as err:
+        print(f"cannot write {args.out or 'stdout'}: {err.strerror or err}", file=sys.stderr)
+        return 2
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.remove(tmp)

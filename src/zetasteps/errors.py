@@ -16,7 +16,7 @@ class ConvergenceError(RuntimeError):
 class ToleranceError(RuntimeError):
     """A requested accuracy target could not be met.
 
-    Carries the best error actually achieved.
+    Carries the error estimate achieved, the worst entry's for a batch.
     """
 
     def __init__(self, message, best_error=None):

@@ -47,15 +47,15 @@ _SHIFTS = np.arange(1.0, 2.0 * len(_BERNOULLI) + 1.0)  # m = 1..24 of s + m
 
 
 def _em_rows(sigma: float, a: np.ndarray, n: np.ndarray, target: float):
-    """One Euler-Maclaurin pass at s = sigma + i*a, a >= 0, truncated at the
-    whole n >= 32 (_em_cut's, or a multiple of it): (values, error
-    estimates, Bernoulli orders used).  The head sums k**(-s) to n (one
-    step_sums call); the tail is n*w/(s - 1) - w/2, w = n**(-s), plus the
-    orders k = 1..12 of B_2k/(2k)! s(s+1)...(s+2k-2) n**(-s-2k+1), formed at
-    once as a cumprod of their ratios.  Order k's estimate bounds the rest
-    by its next term, |term_k| q_k / (1 - q_k), q_k = |(s+2k-1)(s+2k)|/(2 pi n)**2,
-    which such an n keeps at or below 1/8.  Each row stops at its first
-    order whose estimate is <= target/4, else at order 12.
+    """One Euler-Maclaurin pass at s = sigma + i*a, a >= 0, truncated at
+    _em_cut's whole n >= 32: (values, error estimates, Bernoulli orders
+    used).  The head sums k**(-s) to n (one step_sums call); the tail is
+    n*w/(s - 1) - w/2, w = n**(-s), plus the orders k = 1..12 of B_2k/(2k)!
+    s(s+1)...(s+2k-2) n**(-s-2k+1), formed at once as a cumprod of their
+    ratios.  Order k's estimate bounds the rest by its next term,
+    |term_k| q_k / (1 - q_k), q_k = |(s+2k-1)(s+2k)|/(2 pi n)**2, which
+    such an n keeps at or below 1/8.  Each row stops at its first order
+    whose estimate is <= target/4, else at order 12.
     """
     sums, lengths, phases = step_sums((sigma,), a, n)
     # Below t = 1 the tail's 1/(s - 1) would scale up the rounding of a
@@ -122,25 +122,15 @@ def _rounding(sigma: float, a: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _reference_rows(sigma: float, a: np.ndarray, target: float):
     """(values, error estimates, cuts n, Bernoulli orders used) of
-    zeta(sigma + i*a) at the 1-D array a >= 0: _em_rows at n = _em_cut(sigma,
-    a, target), and at twice the n of each row that still misses the target,
-    up to 8 passes.  ToleranceError names the worst row's best error."""
+    zeta(sigma + i*a) at the 1-D array a >= 0: one _em_rows pass at n =
+    _em_cut(sigma, a, target), whose order-12 estimates meet target/4.
+    ToleranceError names the worst row's estimate if any misses the target."""
     n = _em_cut(sigma, a, target)
     values, errors, used = _em_rows(sigma, a, n, target)
-    todo = np.flatnonzero(errors > target)
-    best = errors[todo]
-    for _ in range(7):
-        if not todo.size:
-            break
-        n[todo] *= 2.0
-        values[todo], errors[todo], used[todo] = _em_rows(sigma, a[todo], n[todo], target)
-        best = np.minimum(best, errors[todo])
-        keep = errors[todo] > target
-        todo, best = todo[keep], best[keep]
-    if todo.size:
-        worst = float(best.max())
+    if np.any(errors > target):
+        worst = float(errors.max())
         raise ToleranceError(
-            f"eval_reference could not reach {target:g} (best {worst:g})", best_error=worst
+            f"eval_reference could not reach {target:g} (estimate {worst:g})", best_error=worst
         )
     return values, errors, n, used
 
@@ -153,9 +143,9 @@ def eval_reference(s: Argument, target_abs_error: float = 1e-10) -> EvalResult:
     The sum runs to the least multiple n of 32, at least 32, at which each
     q_k = |(s+2k-1)(s+2k)|/(2 pi n)**2 is <= 1/8 and the twelfth Bernoulli
     order's tail estimate is <= target_abs_error/4 (_em_cut), about 0.45|t|
-    on the critical line at 1e-10.  n doubles, up to 8 passes, for each
-    entry that still misses target_abs_error (ToleranceError with the worst
-    entry's best error).  The contract is 1e-10 for sigma in [0, 3] and
+    on the critical line at 1e-10, in one pass; an entry whose estimate
+    still missed target_abs_error would raise ToleranceError with the
+    worst entry's estimate.  The contract is 1e-10 for sigma in [0, 3] and
     |t| <= 1e4.  n depends on t alone, so a float, a one-entry array, gets
     a batch row's bits; the values at |t| are conjugated where t < 0.
     terms_used counts the n head terms and the Bernoulli orders;
@@ -399,8 +389,8 @@ def z_reference(t):
     one); a float gets a batch row's bits, theta by rs_theta_mod's float path.
 
     The zero search certifies on it, in one batch per pass, the estimates
-    that rs_z's bound B(t) leaves open (all below t = 200); refine_zero, its
-    fallback, solves on it.
+    that rs_z's bound B(t) leaves open (all below t = 200); its lockstep
+    fallback and refine_zero solve on it.
     """
     ts = as_rows(t)
     theta = as_rows(rs_theta_mod(shaped(ts, t)))  # first: it refuses t < 2pi

@@ -12,8 +12,9 @@ exceed the error bound B(t) of rs_z ("rs_bound").  The rest go to the
 reference oracle ("oracle"), all in lockstep: one batched oracle call at
 the same two points of every such estimate, one secant step on the two
 values of each that shows no sign change, and one more call on those.
-Only then comes the per-zero fallback: widen the scan bracket until the
-oracle changes sign across it and refine_zero solves on the oracle there.
+The rows that still fail fall back together: their scan brackets widen in
+lockstep until the oracle changes sign across each, and one lockstep
+Illinois solve on the oracle, refine_zero's, runs there.
 B is +inf below t = 200, so low zeros always take the oracle.  The
 oracle sums to the least multiple of 32 terms that its own tail bound
 accepts, about 0.45t, at each point (evaluators.eval_reference).  Every
@@ -188,22 +189,24 @@ def refine_zero(bracket: Tuple[float, float], tol: float) -> ZeroRecord:
     final-bracket endpoint with the smaller |Z|, which lies within tol of
     the zero, and that |Z| as its residual.
     """
-    t, residual = _refined(bracket, tol)
-    return _placed(np.array([t]), np.array([residual]), ["oracle"])[0]
-
-
-def _refined(bracket: Tuple[float, float], tol: float) -> Tuple[float, float]:
-    """refine_zero's (t, residual), unplaced."""
     if tol < _TOL_FLOOR:
         raise DomainError(f"tol must be >= {_TOL_FLOOR:g}")
     lo, hi = bracket
     if hi < lo:
         raise DomainError("bracket endpoints out of order")
-    x, f = _illinois(z_reference, [lo, hi], z_reference(np.array([lo, hi])), tol)
-    if hi - lo <= tol:
-        return 0.5 * (lo + hi), math.nan
-    t, residual = _nearer(x, f)
-    return t[0], residual[0]
+    x = np.array([[lo], [hi]])
+    t, residual = _oracle_solve(x, z_reference(x), tol)
+    return _placed(t, residual, ["oracle"])[0]
+
+
+def _oracle_solve(x: np.ndarray, f: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(t, residual) of the oracle zero in every bracket [x[0][i], x[1][i]]
+    with oracle values f, by one lockstep Illinois solve: refine_zero's
+    endpoint with the smaller |Z|, or the midpoint and NaN where the bracket
+    is no wider than tol."""
+    narrow = x[1] - x[0] <= tol
+    t, residual = _nearer(*_illinois(z_reference, x, f, tol))
+    return np.where(narrow, 0.5 * (x[0] + x[1]), t), np.where(narrow, math.nan, residual)
 
 
 def _illinois(z, x, f, tol):
@@ -270,10 +273,10 @@ def _certify(est: np.ndarray, brackets: np.ndarray, tol: float) -> Tuple[np.ndar
     """(t, residual) of the zeros near the rs_z estimates est, in lockstep: an
     oracle sign change across [c - tol/2, c + tol/2], one oracle call for
     every c.  Where both values share a sign, one secant step on them moves
-    c and a second call checks those rows.  Rows with two equal values, and
-    rows that fail twice, widen both ends of their scan bracket, their
-    column of brackets, by h = 0, 1e-4, 2e-4, ... up to 1 until the oracle
-    changes sign, and refine_zero's solve runs there."""
+    c and a second call checks those rows.  The rest, rows with two equal
+    values or that fail twice, widen their scan brackets (columns of
+    brackets) by h = 0, 1e-4, 2e-4, ... up to 1, one oracle call per h,
+    until the oracle changes sign, and _oracle_solve runs on them all."""
     t, residual = np.full((2, len(est)), math.nan)
     todo, c = np.arange(len(est)), est
     for _ in range(2):
@@ -286,20 +289,20 @@ def _certify(est: np.ndarray, brackets: np.ndarray, tol: float) -> Tuple[np.ndar
         step = ~ok & (f[0] != f[1])
         (a, b), (f_a, f_b) = ends[:, step], f[:, step]
         todo, c = todo[step], b - f_b * (b - a) / (f_b - f_a)
-    for i in np.flatnonzero(np.isnan(t)).tolist():
-        t[i], residual[i] = _widened(brackets[:, i].tolist(), tol)
-    return t, residual
-
-
-def _widened(bracket: Sequence[float], tol: float) -> Tuple[float, float]:
-    """refine_zero's unplaced (t, residual) on the scan bracket widened by
-    the first h = 0, 1e-4, 2e-4, ... up to 1 at which the oracle changes
-    sign across it; find_zeros places it on the scan's Gram window."""
+    rest = np.flatnonzero(np.isnan(t))
+    if not rest.size:
+        return t, residual
+    x, f = brackets[:, rest], np.ones((2, rest.size))  # no oracle sign change yet
     for h in [0.0] + [1e-4 * 2.0**k for k in range(14)]:
-        lo, hi = bracket[0] - h, bracket[1] + h
-        if z_reference(lo) * z_reference(hi) <= 0.0:
-            return _refined((lo, hi), tol)
-    raise ConvergenceError(f"no oracle sign change near {bracket}")
+        shut = np.flatnonzero(f[0] * f[1] > 0.0)
+        if shut.size:
+            x[:, shut] = brackets[:, rest[shut]] + np.array([[-h], [h]])
+            f[:, shut] = z_reference(x[:, shut])
+    shut = np.flatnonzero(f[0] * f[1] > 0.0)
+    if shut.size:
+        raise ConvergenceError(f"no oracle sign change near {brackets[:, rest[shut[0]]].tolist()}")
+    t[rest], residual[rest] = _oracle_solve(x, f, tol)
+    return t, residual
 
 
 def find_zeros(

@@ -99,37 +99,37 @@ class TestReference:
         assert np.all(err <= res.error_estimate), (t, err, res.error_estimate)
 
     def test_unmet_target_reports_best_error(self, monkeypatch):
+        # one _em_rows pass at _em_cut's n; a miss raises with its estimate
         calls = []
         em_rows = evaluators._em_rows
 
         def stuck(sigma, a, n, target):
             calls.append(n.tolist())
             values, _, used = em_rows(sigma, a, n, target)
-            return values, np.full(a.size, 3e-6 if len(calls) % 2 else 2e-6), used
+            return values, np.full(a.size, 2e-6), used
 
         monkeypatch.setattr(evaluators, "_em_rows", stuck)
         with pytest.raises(ToleranceError) as exc:
             eval_reference(Argument(0.5, 100.0))
         assert exc.value.best_error == 2e-6
-        assert calls == [[64.0 * 2**k] for k in range(8)]  # 8 tries, N doubling from 64
+        assert calls == [[64.0]]  # one try, at N = 64
 
     def test_unmet_target_in_a_batch(self, monkeypatch):
         # one entry that misses its target fails the call; the error names
-        # the worst entry's best error, and entries that meet it leave
+        # the worst entry's estimate
         calls = []
         em_rows = evaluators._em_rows
 
         def stuck(sigma, a, n, target):
             calls.append(a.tolist())
             values, errors, used = em_rows(sigma, a, n, target)
-            odd = 3e-6 if len(calls) % 2 else 2e-6
-            return values, np.select([a == 50.0, a == 70.0], [odd, 1e-6], errors), used
+            return values, np.select([a == 50.0, a == 70.0], [3e-6, 1e-6], errors), used
 
         monkeypatch.setattr(evaluators, "_em_rows", stuck)
         with pytest.raises(ToleranceError) as exc:
             eval_reference(Argument(0.5, np.array([30.0, 50.0, 70.0, 90.0])))
-        assert exc.value.best_error == 2e-6
-        assert calls == [[30.0, 50.0, 70.0, 90.0]] + [[50.0, 70.0]] * 7
+        assert exc.value.best_error == 3e-6
+        assert calls == [[30.0, 50.0, 70.0, 90.0]]
         with pytest.raises(ToleranceError):
             z_reference(np.array([30.0, 70.0]))
 
@@ -219,6 +219,20 @@ class TestCut:
         # s = -1 and s = 0 zero a factor of the estimate: n = 32, no warning
         assert abs(eval_reference(Argument(-1.0, 0.0)).value + 1.0 / 12.0) < 1e-12
         assert abs(eval_reference(Argument(0.0, 0.0)).value + 0.5) < 1e-12
+
+    def test_one_pass_meets_every_target(self):
+        # _em_cut sizes n from the order-12 estimate that _em_rows checks,
+        # so no row misses target/4 and the oracle never needs a second pass
+        rng = np.random.default_rng(20261021)
+        sigmas = np.concatenate([[-1.0, 0.0, 0.5, 1.0, 3.0], rng.uniform(-1.0, 3.0, 7)])
+        ts = np.concatenate([[0.0, 1e-300], np.exp(rng.uniform(math.log(1e-3), math.log(1e5), 84))])
+        worst = 0.0
+        for sigma in sigmas.tolist():
+            a = ts[ts > 0.0] if sigma == 1.0 else ts  # s = 1 is the pole
+            for target in (1e-12, 1e-10, 1e-6, 1.0):
+                errors = evaluators._em_rows(sigma, a, evaluators._em_cut(sigma, a, target), target)[1]
+                worst = max(worst, float(np.max(errors / target)))
+        assert worst <= 0.25
 
     def test_critical_line_terms_below_half_t(self):
         # q_12 <= 1/8 alone would give n = sqrt(8)/(2 pi) t = 0.450 t there

@@ -572,10 +572,25 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("sigma,t,algorithm")
         assert len(out) == 2
+        assert self.run("eval", "--sigma", "0.5", "--t", "100", "--algorithm", "symmetric") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and out[1].split(",")[2] == "symmetric"
 
     def test_domain_error_exit_two(self, capsys):
         assert self.run("eval", "--sigma", "2.5", "--t", "100",
                         "--algorithm", "em_paper") == 2
+        assert self.run("eval", "--sigma", "0.3", "--t", "100", "--algorithm", "rs_line") == 2
+        assert "rs_line is defined on sigma = 1/2 only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["directory", "missing/dir/x.csv"])
+    def test_unwritable_out_exit_two(self, where, tmp_path, capsys):
+        # the message names --out, not the temporary file, and none is left
+        out = tmp_path if where == "directory" else tmp_path / where
+        assert self.run("gram", "--t-lo", "10", "--t-hi", "30", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"cannot write {out}: ")
+        assert ".tmp" not in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_guard_exit_three(self, capsys):
         assert self.run("stepplot", "--t", "100000000", "--decimation", "1") == 3

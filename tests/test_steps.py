@@ -107,6 +107,18 @@ class TestReductionLimit:
         assert table_recorder == []
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Argument(0.5, math.nan),
+    lambda: step_term(0, Argument(0.5, 10.0)),
+    lambda: angle_diffs(0, 10.0),
+    lambda: partial_sum(2, 1, Argument(0.5, 10.0)),
+], ids=["argument_nan", "step_term_0", "angle_diffs_0", "partial_sum_b_below_a"])
+def test_arguments_refused(call):
+    # a non-finite point or a step index below 1 (or an empty range)
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestStepTerm:
     def test_first_step_is_one(self):
         assert step_term(1, Argument(0.5, 12345.6)) == 1.0 + 0.0j

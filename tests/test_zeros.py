@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from zetasteps import (
     Argument,
+    ConvergenceError,
     DomainError,
     ResourceGuardError,
     eval_reference,
@@ -223,10 +224,14 @@ class TestRefine:
             refine_zero((15.0, 17.0), 1e-6)  # Z has one sign there
         with pytest.raises(DomainError):
             refine_zero((15.0, 15.1), 0.2)  # no wider than tol: checked too
+        with pytest.raises(DomainError, match="out of order"):
+            refine_zero((15.1, 15.0), 1e-6)
 
     def test_tol_floor(self):
         with pytest.raises(DomainError):
             refine_zero((14.0, 14.2), 1e-12)
+        with pytest.raises(DomainError, match="tol must be"):
+            find_zeros(10.0, 30.0, tol=1e-11)
 
 
 class TestCounting:
@@ -353,6 +358,12 @@ class TestOneGramSolve:
         assert after_scan and not {t for b in brackets for t in b} & set(after_scan)
 
 
+def _fallback_rows(t, tol=1e-8):
+    """The columns of an oracle call on brackets wider than 2 tol: the
+    fallback's scan brackets, as the certificate's c -+ tol/2 are tol wide."""
+    return t.shape[1] if np.ndim(t) == 2 and np.all(t[1] - t[0] > 2.0 * tol) else 0
+
+
 class TestOneStageRefine:
     @pytest.mark.parametrize("window, ns", [((527.0, 529.0), (289, 290)),
                                             ((711.0, 712.5), (423, 424))])
@@ -369,25 +380,35 @@ class TestOneStageRefine:
     def test_forced_fallback(self, monkeypatch, gram_recorder):
         # an rs_z off by 1e-3 moves each estimate by ~1e-3: the oracle check
         # and its secant re-check fail, and every zero comes from the
-        # fallback, refine_zero's unplaced solve on the (widened) scan
-        # bracket; find_zeros places every record on the scan's Gram
-        # window, the one Gram solve of the search
-        fallbacks = []
-        solve = zeros_module._refined
+        # lockstep fallback, an oracle solve on the (widened) scan brackets;
+        # find_zeros places every record on the scan's Gram window, the one
+        # Gram solve of the search
+        calls = []
 
-        def counted(bracket, tol):
-            fallbacks.append(bracket)
-            return solve(bracket, tol)
+        def oracle(t):
+            calls.append(t)
+            return z_reference(t)
 
         monkeypatch.setattr(zeros_module, "rs_z", lambda t: rs_z(t) + 1e-3)
-        monkeypatch.setattr(zeros_module, "_refined", counted)
+        monkeypatch.setattr(zeros_module, "z_reference", oracle)
         records = find_zeros(10.0, 60.0)
+        # the first oracle call on scan brackets, at h = 0, takes every
+        # fallback row
+        fallbacks = next(t.T for t in calls if _fallback_rows(t))
         want = [float(mpmath.zetazero(n).imag) for n in range(1, 14)]
         assert len(records) == len(fallbacks) == len(want)
+        assert len(calls) <= 15  # the fallback solves in lockstep too
         assert len(gram_recorder) == 1
         for rec, w in zip(records, want):
             assert abs(rec.t - w) <= 1e-8
             assert rec.residual == abs(z_reference(rec.t))
+
+    def test_fallback_without_sign_change(self, monkeypatch):
+        # an oracle of one sign fails both checks and every widening: the
+        # error names the first scan bracket
+        monkeypatch.setattr(zeros_module, "z_reference", lambda t: np.ones(np.shape(t)))
+        with pytest.raises(ConvergenceError, match=r"no oracle sign change near \[10\.0, 17\.8"):
+            find_zeros(10.0, 40.0)
 
     def test_call_budget(self, monkeypatch):
         calls = {"oracle": 0, "points": 0, "fallback": 0, "rs_scan": 0, "rs_other": 0}
@@ -396,6 +417,7 @@ class TestOneStageRefine:
         def oracle(t):
             calls["oracle"] += 1
             calls["points"] += np.size(t)
+            calls["fallback"] += _fallback_rows(t)
             return z_reference(t)
 
         def fast(t):
@@ -409,16 +431,10 @@ class TestOneStageRefine:
             finally:
                 in_scan[0] = False
 
-        scan_core, solve = zeros_module._scan, zeros_module._refined
-
-        def fallback(bracket, tol):
-            calls["fallback"] += 1
-            return solve(bracket, tol)
-
+        scan_core = zeros_module._scan
         _instrument(monkeypatch, z_reference, oracle)
         _instrument(monkeypatch, rs_z, fast)
         _instrument(monkeypatch, scan_core, scan)
-        _instrument(monkeypatch, solve, fallback)
         t_hi = gram_point(110)
         records = find_zeros(10.0, t_hi, workers=1)
         found = dict(calls)
@@ -499,3 +515,8 @@ class TestOffsets:
     def test_histogram_domain(self):
         with pytest.raises(DomainError):
             histogram([0.1], 0)
+        # no values: zero counts; all-zero values: the range [-1, 1]
+        centers, counts = histogram([], 3)
+        assert centers.tolist() == [0.0] * 3 and counts.tolist() == [0] * 3
+        centers, counts = histogram([0.0, 0.0], 2)
+        assert centers.tolist() == [-0.5, 0.5] and counts.tolist() == [0, 2]

@@ -156,22 +156,9 @@ def _layout(header: Sequence[str], json: bool) -> Tuple[np.ndarray, np.ndarray, 
     return cells, shown, pre
 
 
-def _render(columns: Sequence, layout: Tuple[np.ndarray, np.ndarray, int], json: bool) -> str:
-    """The text of the rows of equal-length ndarray columns under `layout`:
-    floats print as %.15g, strs (a str array, or an object array of strs) as
-    %s, quoted in JSON, and ints, bools or an object array of ints as %d.
-
-    The kernel prints each number x with 1e-8 <= |x| < 1e15: for its decimal
-    exponent e, |x| * 10**(14 - e) is an exact dd product (10**k is a double
-    for k <= 22) in [1e14, 1e15), rounded half-even to an integer as %.15g
-    rounds its 15 digits.  An int that small prints as its float: %d of n is
-    %.15g of float(n).  Every other cell (0, inf, NaN, a float out of the
-    range, a larger int, a str) is formatted alone; NaN is null in JSON.
-    """
-    cells, shown, pre = layout
-    rows, width = len(columns[0]), len(columns)
-    kinds = ["U" if isinstance(c[0], str) else c.dtype.kind for c in columns]
-    x = np.full((rows, width), math.nan)
+def _digits(columns: Sequence, kinds: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """The digits (V15) and _MASKS keys (int16) of the cells, row-major, for _render: its temporaries die."""
+    x = np.full((len(columns[0]), len(columns)), math.nan)
     for c, kind in enumerate(kinds):
         if kind == "f":
             x[:, c] = columns[c]
@@ -181,36 +168,61 @@ def _render(columns: Sequence, layout: Tuple[np.ndarray, np.ndarray, int], json:
     fast = (a >= 1e-8) & (a < 1e15)
     a[~fast] = 1.0
     e = np.searchsorted(_TENS, a, "right") - 9
-    p, err = two_prod(a, _POW10[14 - e])
-    f = np.floor(p)
-    s = (p - f - 0.5) + err  # exact in sign: |err| < ulp(p) <= |p - f - 0.5| unless that is 0
-    q = f + ((s > 0) | ((s == 0) & (f % 2 == 1)))
+    p = a * _POW10[14 - e]
+    q = np.rint(p)
+    tie = np.flatnonzero(np.abs(q - p) == 0.5)
+    if tie.size:  # p is a half: the exact product's side of it rounds it
+        err = two_prod(a[tie], _POW10[14 - e[tie]])[1]
+        q[tie] = np.where(err == 0, q[tie], p[tie] + np.copysign(0.5, err))
     carry = q == 1e15
     e += carry
     groups = np.floor(np.where(carry, 1e14, q) / _THOUSANDS)  # exact: q < 2**53
     groups[1:] -= 1000.0 * groups[:-1]
-    groups = groups.astype(np.intp)
+    groups = groups.astype(np.int16)
     kept = _KEPT.take(groups)  # k = 3j + kept[j] for the last group j that is not 000
     k = ((kept + np.arange(0, 15, 3, dtype=np.uint8)[:, None]) * (kept > 0)).max(axis=0)
-    digits = _DIGITS.take(groups.T).view("V15").reshape(rows, width)
-    key = np.where(fast, ((e + 8) * 15 + k - 1) * 2 + (x.ravel() < 0), _SLOW)
+    digits = _DIGITS.take(groups.T).view("V15").reshape(-1)
+    key = np.where(fast, ((e + 8) * 15 + k - 1) * 2 + (x.ravel() < 0), _SLOW).astype(np.int16)
+    return digits, key
+
+
+def _render(columns: Sequence, layout: Tuple[np.ndarray, np.ndarray, int], json: bool) -> str:
+    """The text of the rows of equal-length ndarray columns under `layout`:
+    floats print as %.15g, strs (a str array, or an object array of strs) as
+    %s, quoted in JSON, and ints, bools or an object array of ints as %d.
+
+    The kernel prints each number x with 1e-8 <= |x| < 1e15.  For its
+    decimal exponent e, p = fl(|x| * 10**(14 - e)) (10**k is a double for
+    k <= 22) is in [2**46, 2**50), where ulp(p) <= 1/8 puts every half-integer
+    on p's grid; the exact product, within ulp(p)/2 of p, is on p's side of
+    every half but p.  So np.rint(p) rounds it half-even to 15 digits as
+    %.15g does, save where p is a half: there the product's error word
+    (two_prod) rounds it, up if > 0, down if < 0, half-even if 0.  An int
+    that small prints as its float: %d of n is %.15g of float(n).  Every
+    other cell (0, inf, NaN, a float out of the range, a larger int, a str)
+    is formatted alone; NaN is null in JSON.
+    """
+    cells, shown, pre = layout
+    rows, width = len(columns[0]), len(columns)
+    kinds = ["U" if isinstance(c[0], str) else c.dtype.kind for c in columns]
+    digits, key = _digits(columns, kinds)
     text = np.empty((rows,) + cells.shape, np.uint8)
     text[...] = cells
-    text[..., pre + 6 : pre + 21].view("V15")[..., 0] = digits
-    text[..., pre + 22 : pre + 37].view("V15")[..., 0] = digits
+    text[..., pre + 6 : pre + 21].view("V15")[..., 0] = digits.reshape(rows, width)
+    text[..., pre + 22 : pre + 37].view("V15")[..., 0] = digits.reshape(rows, width)
+    del digits  # each temporary goes before the next is made: a lower peak
     keep = np.empty(text.shape, bool)
     keep[...] = shown
-    keep[..., pre : pre + 48].view("V48")[..., 0] = _MASKS.take(key).reshape(rows, width)
-    out = np.compress(keep.ravel(), text.ravel()).tobytes()
-    slow = np.flatnonzero(~fast)
+    _MASKS.take(key.reshape(rows, width), out=keep[..., pre : pre + 48].view("V48")[..., 0], mode="clip")
+    out = text.reshape(-1)[keep.reshape(-1)]
+    del text, keep
+    out = out.tobytes()
+    slow = np.flatnonzero(key == _SLOW)
     if slow.size:
         fmts = [{"f": "%.15g", "U": '"%s"' if json else "%s"}.get(kind, "%d") for kind in kinds]
         texts = [fmts[c] % columns[c][r] for r, c in zip(*(i.tolist() for i in np.divmod(slow, width)))]
-        parts = out.split(b"\xff")
-        joined = [None] * (2 * len(parts) - 1)
-        joined[::2] = parts
-        joined[1::2] = [("null" if json and t == "nan" else t).encode() for t in texts]
-        out = b"".join(joined)
+        texts = [("null" if json and t == "nan" else t).encode() for t in texts] + [b""]
+        out = b"".join(itertools.chain.from_iterable(zip(out.split(b"\xff"), texts)))
     return out.decode()
 
 
@@ -223,10 +235,9 @@ def write_blocks(
     """Stream column blocks out; returns the number of data rows written.
 
     A block is a list of equal-length ndarray columns, one per header name,
-    as `_render` takes them.  Rows go out a piece at a time, a piece being the
-    rows whose rendered cells fill 8 * BLOCK bytes (about 25 KB of text per
-    write).  JSON lines write NaN as null; CSV writes its header even for
-    zero rows.
+    as `_render` takes them; each goes out in the fewest writes, one row apart,
+    of at most 16 * BLOCK cell bytes (about 50 KB of text).  JSON lines write
+    NaN as null; CSV writes its header even for zero rows.
     """
     if fmt not in ("csv", "json-lines"):
         raise DomainError(f"unknown format {fmt!r} (csv or json-lines)")
@@ -234,11 +245,12 @@ def write_blocks(
     if not json:
         stream.write(",".join(header) + "\n")
     layout = _layout(header, json)
-    piece, count = max(1, 8 * BLOCK // layout[0].size), 0
+    piece, count = max(1, 16 * BLOCK // layout[0].size), 0
     for columns in blocks:
         rows = len(columns[0])
-        for i in range(0, rows, piece):
-            stream.write(_render([c[i : i + piece] for c in columns], layout, json))
+        ends = [rows * i // -(-rows // piece) for i in range(-(-rows // piece) + 1)]
+        for i, j in zip(ends, ends[1:]):
+            stream.write(_render([c[i:j] for c in columns], layout, json))
         count += rows
     return count
 
@@ -326,12 +338,16 @@ def stepplot_blocks(s: Argument, decimation: int = 1) -> Iterator[List]:
     _guard_rows("stepplot", n_max // decimation, STEPPLOT_ROW_GUARD)
     carry = np.zeros((2, 1))  # the real and imaginary sums of the blocks before
     for a, b, phases in phase_blocks(s.t, 1, n_max, lookahead=2):
-        n, theta = np.arange(a, b + 1), phases[: b - a + 1]
-        terms = n.astype(float) ** (-s.sigma) * np.array([np.cos(theta), np.sin(theta)])
+        terms = np.empty((2, b - a + 1))
+        np.cos(phases[: b - a + 1], out=terms[0])
+        np.sin(phases[: b - a + 1], out=terms[1])
+        terms *= np.arange(a, b + 1, dtype=float) ** (-s.sigma)
         cums = np.cumsum(terms, axis=1) + carry
-        keep = np.flatnonzero(((n - 1) % decimation == 0) | (np.abs(n - n_p) <= 2 * n_p) | (n == n_max))
+        keep = np.zeros(b - a + 1, bool)  # n - a for n = 1 mod decimation, n <= 3*n_p or n = n_max
+        keep[(1 - a) % decimation :: decimation] = keep[: max(0, 3 * n_p - a + 1)] = keep[n_max - a :] = True
+        keep = np.flatnonzero(keep)
         d1, d2 = phase_diffs(phases[np.add.outer(np.arange(3), keep)])  # at the kept rows only
-        yield [n[keep], *cums[:, keep], d1[0], d2[0]]
+        yield [keep + a, *cums[:, keep], d1, d2]
         carry = carry + np.sum(terms, axis=1, keepdims=True)
 
 

@@ -154,12 +154,11 @@ def step_sums(sigmas, t, n, a: int = 1):
 
 
 def phase_diffs(phases):
-    """(d1, d2) of consecutive reduced phases: d1[i] is the first forward
-    difference at i reduced into (-2*pi, 0], d2[i] the second forward
-    difference reduced into [0, 2*pi)."""
-    d1 = np.mod(phases[1:] - phases[:-1], TWOPI)
+    """(d1, d2) at phases[0] of reduced phases phases[0..2] (floats or arrays): the
+    first forward difference reduced into (-2*pi, 0], the second into [0, 2*pi)."""
+    d1 = np.mod(phases[1] - phases[0], TWOPI)
     d1 = np.where(d1 > 0.0, d1 - TWOPI, 0.0)
-    d2 = np.mod(phases[2:] - 2.0 * phases[1:-1] + phases[:-2], TWOPI)
+    d2 = np.mod(phases[2] - 2.0 * phases[1] + phases[0], TWOPI)
     return d1, d2
 
 
@@ -178,4 +177,4 @@ def angle_diffs(n: int, t: float):
     # carry ~32 digits (equivalent to a log1p evaluation at large n).
     d1h, d1l = dd_add(l1h, l1l, -l0h, -l0l)
     d1, d2 = phase_diffs(np.array([reduced_phase(t, m) for m in (n, n + 1, n + 2)]))
-    return -t * (d1h + d1l), float(d1[0]), float(d2[0])
+    return -t * (d1h + d1l), float(d1), float(d2)

@@ -1,6 +1,7 @@
 """Exporters and the command-line front end: formats, row counts,
 determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,9 +148,10 @@ class TestWriters:
 
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
     def test_chunked_writes_match_token_rule(self, fmt):
-        # rows go out joined, a piece of equal row counts to a write, the
-        # last piece the rest; the JSON null rule holds at every join
-        header, rows = ("i", "x", "tag"), [(i, math.nan if i % 7 else 0.5, "nan") for i in range(1200)]
+        # rows go out joined, a piece of at most 16 * BLOCK cell bytes to a
+        # write, the pieces of a block at most one row apart; the JSON null
+        # rule holds at every join
+        header, rows = ("i", "x", "tag"), [(i, math.nan if i % 7 else 0.5, "nan") for i in range(2000)]
         writes = []
 
         class Stream(io.StringIO):
@@ -160,23 +163,29 @@ class TestWriters:
         assert write_rows(stream, header, rows, fmt) == len(rows)
         assert stream.getvalue() == render_by_token_rule(header, rows, fmt)
         pieces = writes[1:] if fmt == "csv" else writes  # the CSV header goes first
+        budget = 16 * BLOCK // ex._layout(header, fmt == "json-lines")[0].size  # rows a piece
         assert len(pieces) >= 3 and sum(pieces) == len(rows)
-        assert set(pieces[:-1]) == {pieces[0]} and 0 < pieces[-1] <= pieces[0]
+        assert max(pieces) <= budget and max(pieces) - min(pieces) == 1
 
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
-    def test_writes_of_about_25_kb(self, fmt):
-        # stepplot's rows (an int and four floats) go out some 25 KB a write;
-        # a kernel block's last piece may be shorter
+    def test_writes_of_about_50_kb(self, fmt):
+        # stepplot's rows (an int and four floats) go out some 50 KB a write,
+        # each column block in pieces of at most 16 * BLOCK cell bytes that
+        # are at most one row apart
         writes = []
 
         class Stream(io.StringIO):
             def write(self, text):
-                writes.append(len(text))
+                writes.append((len(text), text.count("\n")))
                 return super().write(text)
 
         s = Argument(0.5, TWOPI * 1e4)
         assert write_rows(Stream(), STEPPLOT_HEADER, export_stepplot(s), fmt) == 20000
-        assert 16_000 <= sorted(writes)[len(writes) // 2] <= 48_000 and max(writes) <= 8 * BLOCK
+        sizes, pieces = (np.array(w) for w in zip(*writes[fmt == "csv" :]))
+        assert 32_000 <= np.median(sizes) <= 96_000 and sizes.max() <= 16 * BLOCK
+        assert pieces.max() * ex._layout(STEPPLOT_HEADER, fmt == "json-lines")[0].size <= 16 * BLOCK
+        block = (np.cumsum(pieces) - 1) // ex._SLICE  # write_rows' column block of each piece
+        assert all(np.ptp(pieces[block == b]) <= 1 for b in set(block.tolist()))
 
     @pytest.mark.parametrize("argv", README_RUNS)
     def test_rows_keep_first_row_column_types(self, argv):
@@ -242,6 +251,46 @@ class TestRenderer:
                 for i, x in enumerate(xs)]
         assert render(header, rows, fmt) == render_by_token_rule(header, rows, fmt)
 
+    @pytest.mark.parametrize("x, text", [
+        (271030.5303294735, "271030.530329473"),  # ties the error word rounds
+        (69538.64351722205, "69538.6435172221"),
+        (0.0002965698950217695, "0.000296569895021769"),
+        (9654381390.003925, "9654381390.00393"),
+        (123456789012345.5, "123456789012346"),  # exact halves, half-even
+        (123456789012344.5, "123456789012344"),
+    ])
+    def test_half_integer_products(self, x, text):
+        # fl(|x| * 10**(14 - e)) is a half-integer for each x here
+        assert render(("x",), [(x,), (-x,)]) == f"x\n{text}\n-{text}\n"
+
+    def test_half_integer_products_fuzz(self):
+        # ph / 10**m with ph a half-integer in [1e14, 1e15): most products
+        # round back to the half-integer, and only the error word rounds them
+        rnd = random.Random(20261021)
+        scaled = [(rnd.randrange(10**14, 10**15) + 0.5, rnd.randrange(23)) for _ in range(20000)]
+        ties = [rnd.choice((-1.0, 1.0)) * ph / 10.0**m for ph, m in scaled]
+        assert sum(abs(x) * 10.0**m % 1.0 == 0.5 for x, (_, m) in zip(ties, scaled)) >= 16000
+        rows = [(x,) for x in ties + [rnd.uniform(-1.0, 1.0) * 10.0 ** rnd.randint(-9, 15) for _ in range(10000)]]
+        assert render(("x",), rows) == render_by_token_rule(("x",), rows, "csv")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_render_peak_memory(self, fmt):
+        # a piece of the most stepplot rows write_blocks renders at once
+        # (16 * BLOCK cell bytes) peaks within 480 KiB of traced numpy and
+        # Python memory, what a piece of 8 * BLOCK cell bytes once took
+        json = fmt == "json-lines"
+        layout = ex._layout(STEPPLOT_HEADER, json)
+        block = next(ex.stepplot_blocks(Argument(0.5, math.pi * (BLOCK + 0.5))))
+        piece = [c[: 16 * BLOCK // layout[0].size] for c in block]
+        ex._render(piece, layout, json)
+        tracemalloc.start()
+        try:
+            ex._render(piece, layout, json)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 480 * 1024
+
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
     def test_column_blocks_match_token_rule(self, fmt):
         # blocks of 1, 2 and thousands of rows: pieces straddle block ends
@@ -292,6 +341,27 @@ class TestStepplot:
         present = {r[0] for r in rows}
         n_p = frame_of(t).n_p
         assert all(n in present for n in range(max(1, n_p - 2 * n_p), 3 * n_p + 1))
+
+    @pytest.mark.parametrize("n_max", [BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("decimation", [1, 7, 997, 3 * BLOCK])
+    def test_kept_rows(self, n_max, decimation):
+        # n = 1 mod decimation, the pendant window n <= 3*n_p and n_max,
+        # across the kernel's block edges
+        s = Argument(0.5, math.pi * (n_max + 0.5))
+        n_p = frame_of(s.t).n_p
+        got = np.concatenate([b[0] for b in ex.stepplot_blocks(s, decimation)]).tolist()
+        want = set(range(1, n_max + 1, decimation)) | set(range(1, 3 * n_p + 1)) | {n_max}
+        assert got == sorted(want)
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "1065c142fabf1ac61b4fa08439d5aaf42c172b72ff7ccde4d541547174545686"),
+        ("json-lines", "3369018561146e920c5265801034a3c3e6745d05096a4104c5d74202136c4ae2"),
+    ])
+    def test_bytes_pinned(self, fmt, digest, capsys):
+        # 49k rows of a 477k-step walk, pinned on an x86-64 Linux host with
+        # numpy 2.4 (another libm may round a sin or cos apart)
+        assert main(["stepplot", "--t", "1500123.4", "--decimation", "10", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_full_turn_at_center(self):
         fr = frame_of(1e6)

@@ -248,9 +248,9 @@ def write_blocks(
     piece, count = max(1, 16 * BLOCK // layout[0].size), 0
     for columns in blocks:
         rows = len(columns[0])
-        ends = [rows * i // -(-rows // piece) for i in range(-(-rows // piece) + 1)]
-        for i, j in zip(ends, ends[1:]):
-            stream.write(_render([c[i:j] for c in columns], layout, json))
+        k = -(-rows // piece)  # 0 for an empty block: nothing is written
+        for i in range(k):
+            stream.write(_render([c[rows * i // k : rows * (i + 1) // k] for c in columns], layout, json))
         count += rows
     return count
 

@@ -293,11 +293,11 @@ class TestRenderer:
 
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
     def test_column_blocks_match_token_rule(self, fmt):
-        # blocks of 1, 2 and thousands of rows: pieces straddle block ends
+        # blocks of 0, 1, 2 and thousands of rows: pieces straddle block ends
         xs = np.array(renderer_floats())
         ns = np.array([v for v in RENDERER_INTS if -(2**63) <= v < 2**63] * 1000, dtype=np.int64)[: xs.size]
         tags = np.array(RENDERER_STRS * 2000)[: xs.size]
-        bounds = [0, 1, 3, 2000, 2001, 7000, xs.size]
+        bounds = [0, 0, 1, 3, 2000, 2001, 2001, 7000, xs.size]
         blocks = [[xs[i:j], ns[i:j], tags[i:j], ns[i:j] % 2 == 0, xs[i:j][::-1]]
                   for i, j in zip(bounds, bounds[1:])]
         header = ("x", "n", "tag", "even", "y")
@@ -362,6 +362,15 @@ class TestStepplot:
         # numpy 2.4 (another libm may round a sin or cos apart)
         assert main(["stepplot", "--t", "1500123.4", "--decimation", "10", "--format", fmt]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_blocks_that_keep_no_row(self, fmt, capsys):
+        # decimation > BLOCK: the kernel block [BLOCK + 1, 2 * BLOCK] keeps no row
+        s = Argument(0.5, 1e6)
+        assert [len(b[0]) for b in ex.stepplot_blocks(s, 100000)][1] == 0
+        assert main(["stepplot", "--t", "1e6", "--decimation", "100000", "--format", fmt]) == 0
+        rows = list(export_stepplot(s, 100000))
+        assert capsys.readouterr().out == render_by_token_rule(ex.STEPPLOT_HEADER, rows, fmt)
 
     def test_full_turn_at_center(self):
         fr = frame_of(1e6)
